@@ -27,6 +27,13 @@
 //! bit-identical to a same-kernel `SimdScan`; its
 //! `"scenario":"nonuniform"` line must clear a 2× speedup floor.
 //!
+//! The **smallbatch** scenario times `VoronoiAssisted` on
+//! 1024-point batches — below the tiling threshold, so every point runs
+//! the weighted dispatch plus the certified far-field bracket — on the
+//! same clustered-power network, against a same-kernel `SimdScan` on
+//! the same batches, answers asserted bit-identical; its
+//! `"scenario":"smallbatch"` line must clear a 1.5× speedup floor.
+//!
 //! The **churn** scenario measures the epoch-versioned dynamic path: a
 //! timestep mixes in-place surgery (moves + an add + a swap-remove) with
 //! a `locate_batch` burst, and the same deterministic op/query sequence
@@ -644,13 +651,10 @@ const NONUNIFORM_REPS: usize = 3;
 /// rather than merely existing.
 const NONUNIFORM_MIN_SPEEDUP: f64 = 2.0;
 
-/// The non-uniform record: `VoronoiAssisted::locate_batch` on a
-/// clustered-power network (weighted kd-tree dispatch + `MaxEnergy`
-/// tile envelopes) against `ExactScan::locate_batch` on the same
-/// network (what non-uniform queries cost pre-dispatch), answers
-/// asserted bit-identical to a same-kernel `SimdScan`. One
-/// `"scenario":"nonuniform"` line.
-fn emit_nonuniform_json_lines() {
+/// The non-uniform scenario's network and `points` query points: the
+/// `n = 4096` station layout with the clustered power assignment, and
+/// queries uniform over the window plus a 10% margin.
+fn clustered_power_network(points: usize) -> (Network, Vec<Point>) {
     let n = NONUNIFORM_STATIONS;
     let half = window_half(n);
     let layout = gen::random_uniform_network(42 + n as u64, n, half, 0.01, 2.0).unwrap();
@@ -669,7 +673,19 @@ fn emit_nonuniform_json_lines() {
     }
     let net = b.build().expect("clustered-power network");
     assert!(!net.is_uniform_power(), "scenario needs non-uniform power");
-    let queries = gen::uniform_in_box(&mut rng, QUERY_POINTS, half * 1.1);
+    let queries = gen::uniform_in_box(&mut rng, points, half * 1.1);
+    (net, queries)
+}
+
+/// The non-uniform record: `VoronoiAssisted::locate_batch` on a
+/// clustered-power network (weighted kd-tree dispatch + `MaxEnergy`
+/// tile envelopes) against `ExactScan::locate_batch` on the same
+/// network (what non-uniform queries cost pre-dispatch), answers
+/// asserted bit-identical to a same-kernel `SimdScan`. One
+/// `"scenario":"nonuniform"` line.
+fn emit_nonuniform_json_lines() {
+    let (net, queries) = clustered_power_network(QUERY_POINTS);
+    let n = net.len();
 
     let exact = ExactScan::new(&net);
     let voronoi = VoronoiAssisted::new(&net);
@@ -716,6 +732,74 @@ fn emit_nonuniform_json_lines() {
         .num("ns_per_point", voronoi_ns)
         .num("exact_scan_ns_per_point", exact_ns)
         .num("speedup_weighted_vs_exact", speedup);
+    println!("{}", line.render());
+}
+
+/// Small-batch scenario shape: batches of this many points stay below
+/// the tiling threshold, so every point takes the per-point path — the
+/// shape of an interactive client (and of the serving benchmark's
+/// `mobile_churn` reads).
+const SMALLBATCH_POINTS: usize = 1024;
+/// Distinct query batches per timing pass.
+const SMALLBATCH_BATCHES: usize = 16;
+/// Timing repetitions per path; the recorded value is the minimum.
+const SMALLBATCH_REPS: usize = 5;
+/// Internal floor: `VoronoiAssisted`'s per-point path — weighted
+/// dispatch plus the certified far-field bracket — must beat the
+/// same-kernel `SimdScan` serial batch by at least this factor, so the
+/// trend line certifies the bracket decides most points rather than
+/// falling back to the `O(n)` candidate sum.
+const SMALLBATCH_MIN_SPEEDUP: f64 = 1.5;
+
+/// The small-batch record: `VoronoiAssisted::locate_batch` on
+/// 1024-point batches against the clustered-power network of the
+/// non-uniform scenario, vs a `SimdScan` pinned to the same kernel on
+/// the same batches (its serial per-point scan), answers asserted
+/// bit-identical. One `"scenario":"smallbatch"` line.
+fn emit_smallbatch_json_lines() {
+    let (net, queries) = clustered_power_network(SMALLBATCH_POINTS * SMALLBATCH_BATCHES);
+    let voronoi = VoronoiAssisted::new(&net);
+    let simd = SimdScan::with_kernel(sinr_core::SinrEvaluator::new(&net), voronoi.kernel());
+    let mut out = vec![Located::Silent; SMALLBATCH_POINTS];
+    let mut want = vec![Located::Silent; SMALLBATCH_POINTS];
+    for batch in queries.chunks(SMALLBATCH_POINTS) {
+        voronoi.locate_batch(batch, &mut out);
+        simd.locate_batch(batch, &mut want);
+        assert_eq!(
+            out, want,
+            "smallbatch: VoronoiAssisted diverged from SimdScan"
+        );
+    }
+    let time_all = |f: &mut dyn FnMut(&[Point])| {
+        let mut best = f64::INFINITY;
+        for _ in 0..SMALLBATCH_REPS {
+            best = best.min(time_ns_per_point(queries.len(), || {
+                for batch in queries.chunks(SMALLBATCH_POINTS) {
+                    f(black_box(batch));
+                }
+            }));
+        }
+        best
+    };
+    let voronoi_ns = time_all(&mut |batch| voronoi.locate_batch(batch, &mut out));
+    let simd_ns = time_all(&mut |batch| simd.locate_batch(batch, &mut want));
+    let speedup = simd_ns / voronoi_ns;
+    assert!(
+        speedup >= SMALLBATCH_MIN_SPEEDUP,
+        "smallbatch: VoronoiAssisted {speedup:.2}x below the {SMALLBATCH_MIN_SPEEDUP}x floor over SimdScan"
+    );
+    let line = JsonLine::new("engine_batch")
+        .str("scenario", "smallbatch")
+        .str("backend", "voronoi_assisted")
+        .str("power_shape", "clustered")
+        .str("simd_kernel", voronoi.kernel().name())
+        .int("avx512_detected", SimdKernel::Avx512.is_supported() as u64)
+        .int("stations", net.len() as u64)
+        .int("batch_points", SMALLBATCH_POINTS as u64)
+        .int("batches", SMALLBATCH_BATCHES as u64)
+        .num("ns_per_point", voronoi_ns)
+        .num("simd_scan_ns_per_point", simd_ns)
+        .num("speedup_vs_simd_scan", speedup);
     println!("{}", line.render());
 }
 
@@ -824,6 +908,7 @@ fn main() {
     benches();
     emit_json_lines();
     emit_nonuniform_json_lines();
+    emit_smallbatch_json_lines();
     emit_churn_json_lines();
     emit_channel_mc_json_lines();
     emit_scheduling_json_line();

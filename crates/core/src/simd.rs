@@ -284,7 +284,11 @@ fn finish_sum<K: PathLoss, const L: usize>(
     let dx = xs[cand] - p.x;
     let dy = ys[cand] - p.y;
     let d2 = dx * dx + dy * dy;
-    debug_assert!(d2 > 0.0, "coincident candidate must have been caught above");
+    // (A NaN query point makes `d2` NaN, which is not a coincidence.)
+    debug_assert!(
+        d2 != 0.0,
+        "coincident candidate must have been caught above"
+    );
     Ok((k.attenuation(d2) * powers[cand], acc.value()))
 }
 

@@ -277,10 +277,7 @@ fn grid_scale(min: f64, max: f64) -> f64 {
 /// `fetch_add` claim protocol (which the `OutputSlots` soundness
 /// argument leans on) exist in exactly one place.
 pub(crate) fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: usize, f: F) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = threads.min(num_tiles);
+    let workers = crate::engine::worker_threads().min(num_tiles);
     if workers <= 1 {
         let mut scratch = S::default();
         for t in 0..num_tiles {
@@ -373,8 +370,9 @@ pub(crate) fn receives_at_total(best_e: f64, total: f64, noise: f64, beta: f64) 
     interference_plus_noise <= 0.0 || best_e >= beta * interference_plus_noise
 }
 
-/// The per-point outcome of a certified tile scan.
-enum Certified {
+/// The per-point outcome of a certified decision (a tile scan here, or
+/// [`crate::engine::VoronoiAssisted`]'s far-field bracket).
+pub(crate) enum Certified {
     Answer(Located),
     /// The decision sits within the residual interval of the `β`
     /// boundary — re-run the backend's serial kernel.
@@ -552,7 +550,7 @@ where
 /// (widened by [`TOTAL_MARGIN`]) around every kernel's rounded total.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn certify_decision(
+pub(crate) fn certify_decision(
     best: StationId,
     best_e: f64,
     s_c: f64,

@@ -410,6 +410,105 @@ proptest! {
     }
 }
 
+/// `VoronoiAssisted` against a freshly built `SimdScan` pinned to the
+/// same kernel: `locate` and `locate_batch` bit-identical on `points`.
+fn assert_matches_same_kernel_scan(
+    engine: &VoronoiAssisted,
+    net: &Network,
+    points: &[Point],
+    step: usize,
+) -> Result<(), TestCaseError> {
+    let simd = SimdScan::with_kernel(SinrEvaluator::new(net), engine.kernel());
+    let mut want = vec![Located::Silent; points.len()];
+    let mut got = vec![Located::Silent; points.len()];
+    simd.locate_batch(points, &mut want);
+    engine.locate_batch(points, &mut got);
+    for (k, p) in points.iter().enumerate() {
+        prop_assert_eq!(got[k], want[k], "locate_batch at {} after op {}", p, step);
+        prop_assert_eq!(
+            engine.locate(*p),
+            want[k],
+            "locate at {} after op {}",
+            p,
+            step
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Long churn on mid-size networks, where `VoronoiAssisted` decides
+    /// most points from certified far-field brackets over the kd-tree's
+    /// live power sums: a random Add / Remove / Move / SetPower sequence
+    /// of `n` ops — several times past the `n/8` rebuild threshold, so
+    /// tombstoned live sums, the overflow list and rebuilds all take
+    /// turns — checked every 16 ops against a same-kernel `SimdScan`
+    /// built from the mutated network. Query points include the
+    /// positions stations vacated (tombstoned slots at the query point)
+    /// and non-finite points.
+    #[test]
+    fn long_churn_far_field_matches_same_kernel_scan(seed in any::<u64>(), clustered in any::<bool>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC4A2);
+        let n = rng.gen_range(160usize..320);
+        let half = (n as f64).sqrt();
+        let mut b = Network::builder().background_noise(0.01).threshold(2.0);
+        for k in 0..n {
+            let p = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+            let power = match (clustered, k % 32) {
+                (false, _) => 1.0,
+                (true, 0) => 8.0,
+                (true, _) => rng.gen_range(0.5..1.5),
+            };
+            b = b.station_with_power(p, power);
+        }
+        let mut net = b.build().expect("≥ 160 stations");
+        let mut engine = VoronoiAssisted::new(&net);
+        let mut vacated: Vec<Point> = Vec::new();
+        let power = |rng: &mut rand::rngs::StdRng| {
+            if clustered { rng.gen_range(0.5..1.5) } else { 1.0 }
+        };
+        for step in 0..n {
+            let delta = match rng.gen_range(0..10) {
+                0 => {
+                    let p = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+                    let w = power(&mut rng);
+                    net.add_station(p, w).expect("valid add")
+                }
+                1 if net.len() > 2 => {
+                    let i = StationId(rng.gen_range(0..net.len()));
+                    vacated.push(net.position(i));
+                    net.remove_station(i).expect("valid remove")
+                }
+                2..=6 => {
+                    let i = StationId(rng.gen_range(0..net.len()));
+                    let from = net.position(i);
+                    vacated.push(from);
+                    let to = from + Vector::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                    net.move_station(i, to).expect("valid move")
+                }
+                _ => {
+                    let i = StationId(rng.gen_range(0..net.len()));
+                    let w = power(&mut rng);
+                    net.set_power(i, w).expect("valid power")
+                }
+            };
+            engine.apply(&delta).expect("delta applies in order");
+            if step % 16 == 15 || step + 1 == n {
+                let mut points: Vec<Point> = (0..200)
+                    .map(|_| Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half)))
+                    .collect();
+                points.extend(net.positions().iter().step_by(5));
+                points.extend(vacated.iter().rev().take(24));
+                points.extend([Point::new(f64::NAN, 1.0), Point::new(f64::INFINITY, 0.0)]);
+                assert_matches_same_kernel_scan(&engine, &net, &points, step)?;
+            }
+        }
+        assert_bit_identical("VoronoiAssisted after long churn", &engine, &VoronoiAssisted::new(&net), &net)?;
+    }
+}
+
 #[test]
 fn apply_ops_partial_failure_keeps_prefix_and_reports_index() {
     let mut net = Network::uniform(

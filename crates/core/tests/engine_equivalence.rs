@@ -330,3 +330,131 @@ proptest! {
         }
     }
 }
+
+/// The far-field shapes: `0` uniform power, `1` clustered power (every
+/// 32nd station an 8× macro cell, the rest `0.5..1.5`), `2` clustered
+/// power at `α = 3`, `3` uniform power at `β ≤ 1`.
+const FAR_FIELD_SHAPES: usize = 4;
+
+/// Mid-size networks for `VoronoiAssisted`'s certified far-field path:
+/// enough stations (150–600, density 1/4 per unit²) that the kd-tree
+/// bracket envelopes whole subtrees instead of summing every site, in
+/// every [`FAR_FIELD_SHAPES`] shape, optionally with co-located
+/// duplicates of a few stations (same position, own power).
+fn far_field_networks() -> impl Strategy<Value = Network> {
+    (
+        150usize..600,
+        any::<u64>(),
+        0..FAR_FIELD_SHAPES,
+        any::<bool>(),
+    )
+        .prop_map(|(n, seed, shape, colocate)| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFA12);
+            let half = (n as f64).sqrt();
+            let (alpha, beta) = match shape {
+                2 => (3.0, 2.0),
+                3 => (2.0, rng.gen_range(0.3..=1.0)),
+                _ => (2.0, 2.0),
+            };
+            let clustered = shape == 1 || shape == 2;
+            let mut b = Network::builder()
+                .background_noise(0.01)
+                .threshold(beta)
+                .path_loss(alpha);
+            let mut stations = Vec::with_capacity(n + 3);
+            for k in 0..n {
+                let p = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+                let power = match (clustered, k % 32) {
+                    (false, _) => 1.0,
+                    (true, 0) => 8.0,
+                    (true, _) => rng.gen_range(0.5..1.5),
+                };
+                stations.push((p, power));
+            }
+            if colocate {
+                for k in [1usize, n / 2, n - 1] {
+                    let power = if clustered {
+                        rng.gen_range(0.5..8.0)
+                    } else {
+                        1.0
+                    };
+                    stations.push((stations[k].0, power));
+                }
+            }
+            for (p, power) in stations {
+                b = b.station_with_power(p, power);
+            }
+            b.build().expect("≥ 150 stations")
+        })
+}
+
+/// Query points for the far-field path: uniform over the station box
+/// plus a 5% margin, every station position, positions nudged just off
+/// stations, and non-finite points.
+fn far_field_points(net: &Network, seed: u64, count: usize) -> Vec<Point> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9017);
+    let half = net
+        .positions()
+        .iter()
+        .fold(0.0f64, |m, p| m.max(p.x.abs()).max(p.y.abs()))
+        * 1.05;
+    let mut pts: Vec<Point> = (0..count)
+        .map(|_| Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half)))
+        .collect();
+    for (k, &s) in net.positions().iter().enumerate().step_by(7) {
+        pts.push(s);
+        pts.push(s + Vector::new(1e-9 * (k as f64 + 1.0), -1e-9));
+    }
+    pts.extend([
+        Point::new(f64::NAN, 0.0),
+        Point::new(0.0, f64::INFINITY),
+        Point::new(f64::NEG_INFINITY, f64::INFINITY),
+    ]);
+    pts
+}
+
+/// `VoronoiAssisted::locate` and `locate_batch` against a `SimdScan`
+/// pinned to the same kernel: bit-identical answers, point by point.
+fn assert_matches_same_kernel_scan(
+    voronoi: &VoronoiAssisted,
+    net: &Network,
+    points: &[Point],
+) -> Result<(), TestCaseError> {
+    let simd = SimdScan::with_kernel(SinrEvaluator::new(net), voronoi.kernel());
+    let mut want = vec![Located::Silent; points.len()];
+    let mut got = vec![Located::Silent; points.len()];
+    simd.locate_batch(points, &mut want);
+    voronoi.locate_batch(points, &mut got);
+    for (k, p) in points.iter().enumerate() {
+        prop_assert_eq!(
+            got[k],
+            want[k],
+            "locate_batch at {} in a {}-station network",
+            p,
+            net.len()
+        );
+        prop_assert_eq!(voronoi.locate(*p), want[k], "locate at {}", p);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The certified far-field path: on mid-size networks — uniform,
+    /// clustered power, `α = 3`, `β ≤ 1`, with and without co-located
+    /// stations — `VoronoiAssisted` answers bit-identically to a
+    /// same-kernel `SimdScan`, on serial-sized batches and on batches
+    /// long enough for the tiled executor (whose per-point fallback is
+    /// the certified path).
+    #[test]
+    fn far_field_path_bit_identical_to_same_kernel_scan(
+        net in far_field_networks(),
+        seed in any::<u64>(),
+    ) {
+        let voronoi = VoronoiAssisted::new(&net);
+        assert_matches_same_kernel_scan(&voronoi, &net, &far_field_points(&net, seed, 600))?;
+        let tiled = far_field_points(&net, seed ^ 1, sinr_core::engine::PARALLEL_BATCH_THRESHOLD);
+        assert_matches_same_kernel_scan(&voronoi, &net, &tiled)?;
+    }
+}

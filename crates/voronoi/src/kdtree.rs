@@ -11,6 +11,14 @@
 //! [`KdTree::build_weighted`] + [`KdTree::strongest_mapped`] answer that
 //! argmax exactly by best-first branch-and-bound over per-subtree
 //! `(bbox, max weight)` aggregates.
+//!
+//! The same aggregates carry each subtree's **live weight sum**, kept
+//! exact under [`KdTree::tombstone`], so [`KdTree::live_energy_bracket`]
+//! can bracket the total received energy `Σ wᵢ · att(d²(p, sᵢ))` at a
+//! query point without visiting every site: a subtree whose box is far
+//! from `p` relative to its extent contributes one certified envelope
+//! of its summed weight (energy is linear in weight and monotone in
+//! distance), nearby sites contribute exactly.
 
 use sinr_geometry::Point;
 
@@ -46,11 +54,30 @@ pub struct KdTree {
     /// [`KdTree::build_weighted`].
     weights: Vec<f64>,
     /// Per-node subtree aggregates, parallel to `nodes` (weighted trees
-    /// only): the bounding box of every site in the subtree plus the
+    /// only): the bounding box of every site in the subtree, the
     /// maximum weight found there — the branch-and-bound data of
-    /// [`KdTree::strongest_mapped`]. Aggregates cover *all* slots,
-    /// tombstoned or not, so mapped pruning stays conservative.
+    /// [`KdTree::strongest_mapped`] — and the live weight sum of
+    /// [`KdTree::live_energy_bracket`]. Box and maximum weight cover
+    /// *all* slots, tombstoned or not, so mapped pruning stays
+    /// conservative; the live sum covers only slots not yet
+    /// [tombstoned](KdTree::tombstone).
     agg: Vec<SubtreeAgg>,
+    /// Per-site liveness for the live sums (weighted trees only).
+    live: Vec<bool>,
+    /// Site → index of the node holding it (weighted trees only).
+    node_of: Vec<usize>,
+    /// Each node's site coordinates and live weight (its weight, or 0
+    /// once tombstoned), in node order (weighted trees only). Nodes are
+    /// laid out in preorder, so every subtree is one contiguous node
+    /// range — [`KdTree::live_energy_bracket`] sums small subtrees as
+    /// one branch-free pass over these columns.
+    node_xs: Vec<f64>,
+    node_ys: Vec<f64>,
+    node_live_w: Vec<f64>,
+    /// Each node's site weight, live or not, in node order (weighted
+    /// trees only) — the strength column of
+    /// [`KdTree::select_with_bracket`].
+    node_w: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +90,8 @@ struct Node {
     left: usize,
     /// Right child index in `nodes`, `usize::MAX` for none.
     right: usize,
+    /// Parent index in `nodes`, `usize::MAX` for the root.
+    parent: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -72,6 +101,13 @@ struct SubtreeAgg {
     max_x: f64,
     max_y: f64,
     max_w: f64,
+    /// Sum of the weights of the subtree's live sites, always computed
+    /// as `own + left + right` in that order — a fresh bottom-up sum
+    /// over the live set, never a running difference.
+    live_w: f64,
+    /// One past the subtree's last node: nodes are in preorder, so the
+    /// subtree of node `i` is exactly the node range `i..end`.
+    end: usize,
 }
 
 impl SubtreeAgg {
@@ -84,9 +120,129 @@ impl SubtreeAgg {
         let dy = (self.min_y - q.y).max(0.0).max(q.y - self.max_y);
         dx * dx + dy * dy
     }
+
+    /// Squared distance from `q` to the farthest corner of the box.
+    fn max_dist_sq(&self, q: Point) -> f64 {
+        let dx = (q.x - self.min_x).max(self.max_x - q.x);
+        let dy = (q.y - self.min_y).max(self.max_y - q.y);
+        dx * dx + dy * dy
+    }
+
+    /// Squared diagonal of the box.
+    fn extent_sq(&self) -> f64 {
+        let dx = self.max_x - self.min_x;
+        let dy = self.max_y - self.min_y;
+        dx * dx + dy * dy
+    }
+}
+
+/// A bracket of the live weighted energy `Σ wᵢ · att(d²(q, sᵢ))` at one
+/// query point, as returned by [`KdTree::live_energy_bracket`]: the
+/// total lies in `[exact + far_lo, exact + far_hi]` up to the rounding
+/// of the sums themselves (which callers absorb with their own margin).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnergyBracket {
+    /// Sum of the exactly evaluated site energies `att(d²) · w`.
+    pub exact: f64,
+    /// Sum of the far subtrees' envelope bottoms.
+    pub far_lo: f64,
+    /// Sum of the far subtrees' envelope tops.
+    pub far_hi: f64,
+}
+
+/// The dispatch rule of [`KdTree::select_with_bracket`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dominator {
+    /// The nearest site, as [`KdTree::nearest_mapped`].
+    Nearest,
+    /// The site maximising `weight · att(d²)`, as
+    /// [`KdTree::strongest_mapped`].
+    Strongest,
+}
+
+/// What the bracket walk reports besides its sums: each exactly
+/// evaluated node (`a = att(d²)`) and each enveloped far subtree.
+trait SiteSink {
+    fn site(&mut self, tree: &KdTree, node: usize, d2: f64, a: f64);
+    fn far(&mut self, node: usize);
+}
+
+/// The plain bracket reports nowhere.
+impl SiteSink for () {
+    #[inline(always)]
+    fn site(&mut self, _: &KdTree, _: usize, _: f64, _: f64) {}
+    #[inline(always)]
+    fn far(&mut self, _: usize) {}
+}
+
+/// Far subtrees [`KdTree::select_with_bracket`] lists for its follow-up
+/// searches; a walk enveloping more falls back to one search of the
+/// whole tree.
+const FAR_CAP: usize = 64;
+
+/// The selection state of [`KdTree::select_with_bracket`]: the best
+/// candidate among exactly evaluated sites, `(label, d², strength)`,
+/// and the far subtrees still to search.
+struct Selection<'m, F> {
+    rule: Dominator,
+    map: &'m F,
+    best: Option<(usize, f64, f64)>,
+    far: [usize; FAR_CAP],
+    n_far: usize,
+}
+
+impl<F: Fn(usize) -> Option<usize>> SiteSink for Selection<'_, F> {
+    #[inline]
+    fn site(&mut self, tree: &KdTree, node: usize, d2: f64, a: f64) {
+        // The comparisons of `search_mapped` / `search_strongest`, with
+        // the label lookup deferred until a site could win.
+        match self.rule {
+            Dominator::Nearest => {
+                if self.best.is_none_or(|(_, bd, _)| d2 <= bd) {
+                    if let Some(label) = (self.map)(tree.nodes[node].site) {
+                        let better = match self.best {
+                            None => true,
+                            Some((bl, bd, _)) => d2 < bd || (d2 == bd && label < bl),
+                        };
+                        if better {
+                            self.best = Some((label, d2, 0.0));
+                        }
+                    }
+                }
+            }
+            Dominator::Strongest => {
+                let strength = a * tree.node_w[node];
+                if self.best.is_none_or(|(_, _, bs)| strength >= bs) {
+                    if let Some(label) = (self.map)(tree.nodes[node].site) {
+                        let better = match self.best {
+                            None => true,
+                            Some((bl, _, bs)) => strength > bs || (strength == bs && label < bl),
+                        };
+                        if better {
+                            self.best = Some((label, d2, strength));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn far(&mut self, node: usize) {
+        if self.n_far < FAR_CAP {
+            self.far[self.n_far] = node;
+        }
+        self.n_far += 1;
+    }
 }
 
 const NONE: usize = usize::MAX;
+
+/// Subtrees of at most this many sites are summed exactly by
+/// [`KdTree::live_energy_bracket`] in one pass over their contiguous
+/// node range: near the query point a walk would open them anyway, and
+/// far from it a few exact terms cost no more than an envelope.
+const EXACT_RUN: usize = 8;
 
 /// Relative slack on the branch-and-bound upper bound of
 /// [`KdTree::strongest_mapped`]: `att` is only *mathematically*
@@ -103,22 +259,30 @@ impl KdTree {
         let mut order: Vec<usize> = (0..sites.len()).collect();
         let mut nodes = Vec::with_capacity(sites.len());
         if !sites.is_empty() {
-            build_rec(&sites, &mut order[..], 0, &mut nodes);
+            build_rec(&sites, &mut order[..], 0, NONE, &mut nodes);
         }
         KdTree {
             sites,
             nodes,
             weights: Vec::new(),
             agg: Vec::new(),
+            live: Vec::new(),
+            node_of: Vec::new(),
+            node_xs: Vec::new(),
+            node_ys: Vec::new(),
+            node_live_w: Vec::new(),
+            node_w: Vec::new(),
         }
     }
 
     /// Builds a kd-tree with a positive weight (transmit power) per
-    /// site, enabling [`KdTree::strongest_mapped`]. The tree shape is
-    /// identical to [`KdTree::build`] over the same sites — weights
-    /// only add per-subtree `(bbox, max weight)` aggregates, computed
-    /// in one reverse pass (children are pushed after their parent, so
-    /// child aggregates are always ready first).
+    /// site, enabling [`KdTree::strongest_mapped`] and
+    /// [`KdTree::live_energy_bracket`]. The tree shape is identical to
+    /// [`KdTree::build`] over the same sites — weights only add
+    /// per-subtree `(bbox, max weight, live weight sum)` aggregates,
+    /// computed in one reverse pass (children are pushed after their
+    /// parent, so child aggregates are always ready first). Every site
+    /// starts live.
     ///
     /// # Panics
     ///
@@ -140,18 +304,29 @@ impl KdTree {
                 max_x: f64::NEG_INFINITY,
                 max_y: f64::NEG_INFINITY,
                 max_w: 0.0,
+                live_w: 0.0,
+                end: 0,
             };
             tree.nodes.len()
         ];
+        tree.live = vec![true; tree.sites.len()];
+        tree.node_of = vec![NONE; tree.sites.len()];
+        tree.node_xs = tree.nodes.iter().map(|n| tree.sites[n.site].x).collect();
+        tree.node_ys = tree.nodes.iter().map(|n| tree.sites[n.site].y).collect();
+        tree.node_live_w = tree.nodes.iter().map(|n| tree.weights[n.site]).collect();
+        tree.node_w = tree.node_live_w.clone();
         for i in (0..tree.nodes.len()).rev() {
             let node = tree.nodes[i];
+            tree.node_of[node.site] = i;
             let site = tree.sites[node.site];
             let mut a = SubtreeAgg {
                 min_x: site.x,
                 min_y: site.y,
                 max_x: site.x,
                 max_y: site.y,
-                max_w: tree.weights[node.site],
+                max_w: 0.0,
+                live_w: 0.0,
+                end: i + 1,
             };
             for child in [node.left, node.right] {
                 if child != NONE {
@@ -160,12 +335,91 @@ impl KdTree {
                     a.min_y = a.min_y.min(c.min_y);
                     a.max_x = a.max_x.max(c.max_x);
                     a.max_y = a.max_y.max(c.max_y);
-                    a.max_w = a.max_w.max(c.max_w);
+                    a.end = a.end.max(c.end);
                 }
             }
             tree.agg[i] = a;
+            tree.refresh_weights(i);
         }
         tree
+    }
+
+    /// Recomputes node `i`'s weight aggregates — maximum weight over all
+    /// slots, live weight sum over live slots — from its own site and
+    /// its children's aggregates (the box never changes).
+    fn refresh_weights(&mut self, i: usize) {
+        let node = self.nodes[i];
+        let w = self.weights[node.site];
+        let mut max_w = w;
+        let mut live_w = if self.live[node.site] { w } else { 0.0 };
+        self.node_w[i] = w;
+        self.node_live_w[i] = live_w;
+        for child in [node.left, node.right] {
+            if child != NONE {
+                max_w = max_w.max(self.agg[child].max_w);
+                live_w += self.agg[child].live_w;
+            }
+        }
+        self.agg[i].max_w = max_w;
+        self.agg[i].live_w = live_w;
+    }
+
+    /// Refreshes the weight aggregates on the path from `site`'s node to
+    /// the root.
+    fn refresh_path(&mut self, site: usize) {
+        let mut i = self.node_of[site];
+        while i != NONE {
+            self.refresh_weights(i);
+            i = self.nodes[i].parent;
+        }
+    }
+
+    /// Marks `site` dead for the live weight sums of a
+    /// [weighted](KdTree::build_weighted) tree: its weight leaves the
+    /// sum of every subtree containing it, updated by walking parent
+    /// links from its node to the root — `O(depth)`. Each sum on the
+    /// path is recomputed from its children rather than decremented, so
+    /// after any sequence of tombstones and
+    /// [re-weights](KdTree::set_weight) the sums equal a fresh
+    /// bottom-up summation over the live sites — no cancellation drift.
+    /// Boxes and maximum weights keep counting the dead site (both stay
+    /// conservative for [`KdTree::strongest_mapped`]). Tombstoning a
+    /// dead site, or any site of an unweighted tree, is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range.
+    pub fn tombstone(&mut self, site: usize) {
+        assert!(site < self.sites.len(), "site {site} out of range");
+        if self.agg.is_empty() || !self.live[site] {
+            return;
+        }
+        self.live[site] = false;
+        self.refresh_path(site);
+    }
+
+    /// Re-weights `site` of a [weighted](KdTree::build_weighted) tree in
+    /// place: the maximum-weight and live-sum aggregates of every
+    /// subtree containing it are recomputed on the way to the root —
+    /// `O(depth)` — so [`KdTree::strongest_mapped`] and
+    /// [`KdTree::live_energy_bracket`] see exactly the new weight. The
+    /// tree shape depends only on positions, so it stays valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range or the tree is unweighted.
+    pub fn set_weight(&mut self, site: usize, weight: f64) {
+        assert!(site < self.sites.len(), "site {site} out of range");
+        assert!(!self.agg.is_empty(), "set_weight needs a weighted tree");
+        self.weights[site] = weight;
+        self.refresh_path(site);
+    }
+
+    /// True when `site` has not been [tombstoned](KdTree::tombstone)
+    /// (always true for unweighted trees).
+    #[cfg(test)]
+    fn is_live(&self, site: usize) -> bool {
+        self.live.get(site).copied().unwrap_or(true)
     }
 
     /// Number of sites.
@@ -255,6 +509,205 @@ impl KdTree {
         let mut best: Option<(usize, f64, f64)> = None;
         self.search_strongest(0, q, &att, &map, &mut best);
         best
+    }
+
+    /// A certified bracket of the live weighted energy
+    /// `Σ_live wᵢ · att(d²(q, sᵢ))` at `q` — the far-field
+    /// (Barnes–Hut-style) interference sum of a
+    /// [weighted](KdTree::build_weighted) tree.
+    ///
+    /// The walk descends from the root. Each opened node's own site, if
+    /// live, contributes `att(d²) · w` to [`EnergyBracket::exact`], as
+    /// does every live site of a subtree of at most [`EXACT_RUN`] sites
+    /// (summed in one pass over its contiguous node range). Any other
+    /// subtree whose tight bounding box is far
+    /// from `q` relative to its extent — `extent² ≤ open_sq · d²_min`,
+    /// with `d²_min > 0` the squared distance from `q` to the box — is
+    /// not visited: it contributes `envelope(live_w, d²_min, d²_max)` to
+    /// `[far_lo, far_hi]`, where `live_w` is its live weight sum and
+    /// `d²_max` the squared distance to the box's farthest corner.
+    /// Subtrees without live weight contribute nothing. `open_sq`
+    /// trades walk length against bracket width: smaller values open
+    /// more subtrees and tighten the bracket.
+    ///
+    /// The bracket is sound whenever `envelope(w, d²_min, d²_max)`
+    /// brackets `w · att(d²)` for every `d²` in `[d²_min, d²_max]` —
+    /// energy is linear in weight, so one envelope of the summed weight
+    /// bounds the subtree's sum. `q` must be finite; returns `None` for
+    /// unweighted trees. Exact terms are computed branch-free, dead
+    /// sites with weight 0, so a tombstoned site *at* `q` makes the
+    /// bracket NaN (`∞ · 0`) — callers must treat a non-finite bracket
+    /// as inconclusive.
+    pub fn live_energy_bracket<A, E>(
+        &self,
+        q: Point,
+        open_sq: f64,
+        att: A,
+        envelope: E,
+    ) -> Option<EnergyBracket>
+    where
+        A: Fn(f64) -> f64,
+        E: Fn(f64, f64, f64) -> (f64, f64),
+    {
+        if self.nodes.is_empty() || self.agg.is_empty() {
+            return None;
+        }
+        let mut acc = EnergyBracket {
+            exact: 0.0,
+            far_lo: 0.0,
+            far_hi: 0.0,
+        };
+        self.bracket_subtree(0, q, open_sq, &att, &envelope, &mut acc, &mut ());
+        Some(acc)
+    }
+
+    /// [`KdTree::live_energy_bracket`] fused with the dispatch search:
+    /// alongside the bracket, the site [`KdTree::nearest_mapped`]
+    /// ([`Dominator::Nearest`]) or [`KdTree::strongest_mapped`]
+    /// ([`Dominator::Strongest`]) would select under `map` — the same
+    /// site, by the same tie rule — as `(label, squared distance)`.
+    ///
+    /// One walk serves both: every exactly evaluated site is also a
+    /// selection candidate, so when the bracket walk ends the best
+    /// candidate is usually final, and an enveloped far subtree is
+    /// searched afterwards only when its bound (box distance for
+    /// `Nearest`, `att(d²_min) · max weight` for `Strongest`) could
+    /// still match or beat it. `q` must be finite; returns `None` for
+    /// unweighted trees. `map` must send exactly the live
+    /// (un-[tombstoned](KdTree::tombstone)) sites to labels, so the
+    /// selection and the bracket see the same sites.
+    #[allow(clippy::type_complexity)]
+    pub fn select_with_bracket<A, E, F>(
+        &self,
+        q: Point,
+        open_sq: f64,
+        rule: Dominator,
+        att: A,
+        envelope: E,
+        map: F,
+    ) -> Option<(Option<(usize, f64)>, EnergyBracket)>
+    where
+        A: Fn(f64) -> f64,
+        E: Fn(f64, f64, f64) -> (f64, f64),
+        F: Fn(usize) -> Option<usize>,
+    {
+        if self.nodes.is_empty() || self.agg.is_empty() {
+            return None;
+        }
+        let mut acc = EnergyBracket {
+            exact: 0.0,
+            far_lo: 0.0,
+            far_hi: 0.0,
+        };
+        let mut sel = Selection {
+            rule,
+            map: &map,
+            best: None,
+            far: [0; FAR_CAP],
+            n_far: 0,
+        };
+        self.bracket_subtree(0, q, open_sq, &att, &envelope, &mut acc, &mut sel);
+        // The far subtrees were bounded, not searched: finish the
+        // selection inside those that could still hold the winner (the
+        // whole tree again if there were too many to list).
+        let roots: &[usize] = if sel.n_far > FAR_CAP {
+            &[0]
+        } else {
+            &sel.far[..sel.n_far]
+        };
+        let best = match rule {
+            Dominator::Strongest => {
+                let mut best = sel.best;
+                for &f in roots {
+                    let a = &self.agg[f];
+                    let ub = att(a.min_dist_sq(q)) * a.max_w * (1.0 + STRONGEST_BOUND_SLACK);
+                    if best.is_none_or(|(_, _, bs)| ub >= bs) {
+                        self.search_strongest(f, q, &att, &map, &mut best);
+                    }
+                }
+                best.map(|(label, d2, _)| (label, d2))
+            }
+            Dominator::Nearest => {
+                let mut best = sel.best.map(|(label, d2, _)| (label, d2));
+                for &f in roots {
+                    if best.is_none_or(|(_, bd)| self.agg[f].min_dist_sq(q) <= bd) {
+                        self.search_mapped(f, q, &map, &mut best);
+                    }
+                }
+                best
+            }
+        };
+        Some((best, acc))
+    }
+
+    /// One subtree of [`KdTree::live_energy_bracket`]: skipped when it
+    /// holds no live weight, enveloped when far, opened otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn bracket_subtree<A, E, S>(
+        &self,
+        node_idx: usize,
+        q: Point,
+        open_sq: f64,
+        att: &A,
+        envelope: &E,
+        acc: &mut EnergyBracket,
+        sink: &mut S,
+    ) where
+        A: Fn(f64) -> f64,
+        E: Fn(f64, f64, f64) -> (f64, f64),
+        S: SiteSink,
+    {
+        let a = &self.agg[node_idx];
+        if a.live_w == 0.0 {
+            return;
+        }
+        if a.end - node_idx <= EXACT_RUN {
+            acc.exact += self.run_energy(node_idx..a.end, q, att, sink);
+            return;
+        }
+        let d_min = a.min_dist_sq(q);
+        if d_min > 0.0 && a.extent_sq() <= open_sq * d_min {
+            let (lo, hi) = envelope(a.live_w, d_min, a.max_dist_sq(q));
+            acc.far_lo += lo;
+            acc.far_hi += hi;
+            sink.far(node_idx);
+            return;
+        }
+        acc.exact += self.run_energy(node_idx..node_idx + 1, q, att, sink);
+        let node = self.nodes[node_idx];
+        if node.left != NONE {
+            self.bracket_subtree(node.left, q, open_sq, att, envelope, acc, sink);
+        }
+        if node.right != NONE {
+            self.bracket_subtree(node.right, q, open_sq, att, envelope, acc, sink);
+        }
+    }
+
+    /// `Σ att(d²(q, ·)) · live weight` over a contiguous node range —
+    /// one pass over the node-ordered columns, branch-free unless the
+    /// sink inspects the sites.
+    #[inline]
+    fn run_energy<A: Fn(f64) -> f64, S: SiteSink>(
+        &self,
+        range: std::ops::Range<usize>,
+        q: Point,
+        att: &A,
+        sink: &mut S,
+    ) -> f64 {
+        let start = range.start;
+        let xs = &self.node_xs[range.clone()];
+        let ys = &self.node_ys[range.clone()];
+        let ws = &self.node_live_w[range];
+        let mut sum = 0.0;
+        for (j, ((&x, &y), &w)) in xs.iter().zip(ys).zip(ws).enumerate() {
+            let dx = x - q.x;
+            let dy = y - q.y;
+            let d2 = dx * dx + dy * dy;
+            let a = att(d2);
+            sum += a * w;
+            sink.site(self, start + j, d2, a);
+        }
+        sum
     }
 
     fn search_strongest<A, F>(
@@ -372,7 +825,13 @@ impl KdTree {
     }
 }
 
-fn build_rec(sites: &[Point], order: &mut [usize], axis: u8, nodes: &mut Vec<Node>) -> usize {
+fn build_rec(
+    sites: &[Point],
+    order: &mut [usize],
+    axis: u8,
+    parent: usize,
+    nodes: &mut Vec<Node>,
+) -> usize {
     debug_assert!(!order.is_empty());
     let mid = order.len() / 2;
     order.select_nth_unstable_by(mid, |&a, &b| {
@@ -390,17 +849,18 @@ fn build_rec(sites: &[Point], order: &mut [usize], axis: u8, nodes: &mut Vec<Nod
         axis,
         left: NONE,
         right: NONE,
+        parent,
     });
     let next_axis = 1 - axis;
     // Split the order slice around the median without re-borrowing `this`.
     let (left_slice, rest) = order.split_at_mut(mid);
     let right_slice = &mut rest[1..];
     if !left_slice.is_empty() {
-        let l = build_rec(sites, left_slice, next_axis, nodes);
+        let l = build_rec(sites, left_slice, next_axis, this, nodes);
         nodes[this].left = l;
     }
     if !right_slice.is_empty() {
-        let r = build_rec(sites, right_slice, next_axis, nodes);
+        let r = build_rec(sites, right_slice, next_axis, this, nodes);
         nodes[this].right = r;
     }
     this
@@ -593,6 +1053,170 @@ mod tests {
                 .expect("NaN query still answers");
             assert!(label < sites.len());
             assert!(d2.is_nan() && strength.is_nan(), "NaN query {q}");
+        }
+    }
+
+    /// The live weight sums after recomputing every node bottom-up from
+    /// scratch — what `tombstone`'s path updates must reproduce.
+    fn fresh_live_sums(tree: &KdTree) -> Vec<f64> {
+        let mut fresh = tree.clone();
+        for i in (0..fresh.nodes.len()).rev() {
+            fresh.refresh_weights(i);
+        }
+        fresh.agg.iter().map(|a| a.live_w).collect()
+    }
+
+    #[test]
+    fn tombstone_keeps_live_sums_exact() {
+        let sites = pseudo_points(500, 0xD1E, 20.0);
+        let weights = pseudo_weights(500, 0xD1F);
+        let mut tree = KdTree::build_weighted(sites, weights.clone());
+        for (k, site) in [7usize, 0, 499, 250, 7, 13, 128].into_iter().enumerate() {
+            tree.tombstone(site);
+            assert!(!tree.is_live(site));
+            let sums: Vec<f64> = tree.agg.iter().map(|a| a.live_w).collect();
+            assert_eq!(sums, fresh_live_sums(&tree), "after tombstone #{k}");
+        }
+        let live_total: f64 = (0..500)
+            .filter(|&s| tree.is_live(s))
+            .map(|s| weights[s])
+            .sum();
+        assert!((tree.agg[0].live_w - live_total).abs() <= 1e-12 * live_total);
+        // Everything dead: every sum is exactly zero.
+        for s in 0..500 {
+            tree.tombstone(s);
+        }
+        assert!(tree.agg.iter().all(|a| a.live_w == 0.0));
+        // Re-weighting keeps sums exact and the argmax search correct.
+        let sites = pseudo_points(300, 0xD2E, 20.0);
+        let mut weights = pseudo_weights(300, 0xD2F);
+        let mut tree = KdTree::build_weighted(sites.clone(), weights.clone());
+        for (k, site) in [5usize, 17, 5, 299, 0].into_iter().enumerate() {
+            let w = 0.5 + k as f64 * 3.0;
+            tree.set_weight(site, w);
+            weights[site] = w;
+            tree.tombstone((site + 1) % 300);
+            let sums: Vec<f64> = tree.agg.iter().map(|a| a.live_w).collect();
+            assert_eq!(sums, fresh_live_sums(&tree), "after re-weight #{k}");
+        }
+        let map = |s: usize| tree.is_live(s).then_some(s);
+        for q in pseudo_points(100, 0xD30, 25.0) {
+            let att = |d2: f64| 1.0 / d2;
+            let want = naive_strongest(&sites, &weights, q, att, map);
+            assert_eq!(
+                tree.strongest_mapped(q, att, map),
+                want,
+                "re-weighted at {q}"
+            );
+        }
+        // Unweighted trees have no sums; tombstoning is a no-op.
+        let mut plain = KdTree::build(pseudo_points(10, 1, 5.0));
+        plain.tombstone(3);
+        assert!(plain.is_live(3));
+    }
+
+    #[test]
+    fn live_energy_bracket_contains_brute_force_sum() {
+        let sites = pseudo_points(400, 0xB0B, 40.0);
+        let weights = pseudo_weights(400, 0xB0C);
+        let mut tree = KdTree::build_weighted(sites.clone(), weights.clone());
+        for s in (0..400).step_by(5) {
+            tree.tombstone(s);
+        }
+        type Att = fn(f64) -> f64;
+        let atts: [Att; 2] = [|d2| 1.0 / d2, |d2| d2.powf(-1.5)];
+        for att in atts {
+            let envelope = |w: f64, d_min: f64, d_max: f64| {
+                (
+                    w * att(d_max) * (1.0 - 1e-12),
+                    w * att(d_min) * (1.0 + 1e-12),
+                )
+            };
+            // Near queries (boxes open) and far ones (whole subtrees
+            // enveloped, with tight brackets that expose a wrong sum).
+            let mut queries = pseudo_points(100, 0x5EE, 50.0);
+            queries.extend(
+                pseudo_points(20, 0x5EF, 50.0)
+                    .into_iter()
+                    .map(|p| Point::new(p.x + 2000.0, p.y)),
+            );
+            for q in queries {
+                let want: f64 = (0..400)
+                    .filter(|&s| tree.is_live(s))
+                    .map(|s| att(sites[s].dist_sq(q)) * weights[s])
+                    .sum();
+                for open_sq in [0.0, 0.25, 1.0, 4.0, 1e6] {
+                    let b = tree.live_energy_bracket(q, open_sq, att, envelope).unwrap();
+                    let (lo, hi) = (b.exact + b.far_lo, b.exact + b.far_hi);
+                    let tol = 1e-12 * want;
+                    assert!(
+                        lo <= want + tol && want <= hi + tol,
+                        "{q} θ²={open_sq}: {want} ∉ [{lo}, {hi}]"
+                    );
+                    if open_sq == 0.0 {
+                        // Nothing is far: the walk sums every live site.
+                        assert_eq!((b.far_lo, b.far_hi), (0.0, 0.0));
+                        assert!((b.exact - want).abs() <= tol);
+                    }
+                }
+            }
+        }
+        assert!(KdTree::build(sites)
+            .live_energy_bracket(Point::ORIGIN, 1.0, |d2| 1.0 / d2, |_, _, _| (0.0, 0.0))
+            .is_none());
+    }
+
+    #[test]
+    fn select_with_bracket_matches_the_plain_searches() {
+        let envelope =
+            |w: f64, d_min: f64, d_max: f64| (w / d_max * (1.0 - 1e-12), w / d_min * (1.0 + 1e-12));
+        let att = |d2: f64| 1.0 / d2;
+        // A mid-size tree with tombstones and co-located sites, and a
+        // large one whose θ² = 0.25 walks envelope more far subtrees
+        // (up to ~150) than the follow-up list holds.
+        let mut small = pseudo_points(600, 0x5E1, 40.0);
+        small.extend_from_within(..12);
+        for (n_sites, seed, opens) in [
+            (small.len(), 0x5E2, &[0.0, 0.25, 1.0, 36.0, 1e9][..]),
+            (6000, 0x5E3, &[0.0004, 0.25, 36.0][..]),
+        ] {
+            let sites = if n_sites == small.len() {
+                small.clone()
+            } else {
+                pseudo_points(n_sites, seed, 200.0)
+            };
+            let weights = pseudo_weights(sites.len(), seed ^ 1);
+            let mut tree = KdTree::build_weighted(sites.clone(), weights);
+            for s in (0..sites.len()).step_by(7) {
+                tree.tombstone(s);
+            }
+            let map = |s: usize| tree.is_live(s).then_some(s + 3);
+            let mut queries = pseudo_points(60, seed ^ 2, 60.0);
+            queries.extend(sites.iter().step_by(41).copied());
+            for q in queries {
+                let nearest = tree.nearest_mapped(q, map);
+                let strongest = tree.strongest_mapped(q, att, map).map(|(l, d2, _)| (l, d2));
+                for &open_sq in opens {
+                    let plain = tree.live_energy_bracket(q, open_sq, att, envelope);
+                    for (rule, want) in [
+                        (Dominator::Nearest, nearest),
+                        (Dominator::Strongest, strongest),
+                    ] {
+                        let (got, bracket) = tree
+                            .select_with_bracket(q, open_sq, rule, att, envelope, map)
+                            .unwrap();
+                        assert_eq!(got, want, "{rule:?} at {q}, θ²={open_sq}");
+                        // Bitwise: a tombstoned site at `q` makes both NaN.
+                        let bits =
+                            |b: EnergyBracket| [b.exact, b.far_lo, b.far_hi].map(f64::to_bits);
+                        assert_eq!(
+                            Some(bits(bracket)),
+                            plain.map(bits),
+                            "bracket at {q}, θ²={open_sq}"
+                        );
+                    }
+                }
+            }
         }
     }
 

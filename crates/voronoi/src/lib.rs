@@ -28,5 +28,5 @@ pub mod kdtree;
 pub mod naive;
 
 pub use diagram::{VoronoiCell, VoronoiDiagram};
-pub use kdtree::KdTree;
+pub use kdtree::{Dominator, EnergyBracket, KdTree};
 pub use naive::naive_nearest;
