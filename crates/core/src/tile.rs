@@ -271,34 +271,42 @@ fn grid_scale(min: f64, max: f64) -> f64 {
 /// one worker suffices). Each worker owns one `S` scratch value for the
 /// whole run, so per-tile allocations amortize away.
 ///
-/// This is the **one** work-stealing scheduler of the crate:
-/// [`crate::engine::batch_map`]'s parallel branch and both tiled
-/// executors here run through it, so the worker-count clamp and the
+/// Every tile index is claimed by exactly one worker (`fetch_add` on a
+/// shared counter), in no particular order and on no particular thread:
+/// `f` must not depend on either. The calling thread is one of the
+/// workers — it spawns `workers − 1` helpers and runs the same claim
+/// loop itself, returning once every tile has run. A panic in `f`
+/// propagates to the caller after all workers stop.
+///
+/// This is the **one** work-stealing scheduler of the workspace:
+/// [`crate::engine::batch_map`]'s parallel branch, both tiled executors
+/// here, the channel Monte-Carlo trials, and the quadtree refinement of
+/// `sinr-diagram` (one task per independent subtree) run through it, so
+/// the worker-count clamp (the cached available parallelism) and the
 /// `fetch_add` claim protocol (which the `OutputSlots` soundness
 /// argument leans on) exist in exactly one place.
-pub(crate) fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: usize, f: F) {
+pub fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: usize, f: F) {
     let workers = crate::engine::worker_threads().min(num_tiles);
-    if workers <= 1 {
+    let next = AtomicUsize::new(0);
+    let claim_loop = || {
         let mut scratch = S::default();
-        for t in 0..num_tiles {
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= num_tiles {
+                break;
+            }
             f(t, &mut scratch);
         }
+    };
+    if workers <= 1 {
+        claim_loop();
         return;
     }
-    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = S::default();
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= num_tiles {
-                        break;
-                    }
-                    f(t, &mut scratch);
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(claim_loop);
         }
+        claim_loop();
     });
 }
 
@@ -1368,6 +1376,35 @@ where
         pruned_tiles: pruned_tiles.into_inner(),
         candidate_stations: 0,
         fallback_points: fallback_points.into_inner(),
+    }
+}
+
+#[cfg(test)]
+mod scheduler_tests {
+    use super::*;
+    use std::sync::Mutex;
+
+    /// Every tile runs exactly once, whatever the tile count relative to
+    /// the worker count; a single tile runs on the calling thread.
+    #[test]
+    fn every_tile_runs_exactly_once() {
+        for num_tiles in [0, 1, 2, 3, 17, 1000] {
+            let hits: Vec<AtomicUsize> = (0..num_tiles).map(|_| AtomicUsize::new(0)).collect();
+            steal_tiles::<(), _>(num_tiles, |t, _| {
+                hits[t].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{num_tiles} tiles"
+            );
+        }
+        // A single tile runs inline on the caller.
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        steal_tiles::<(), _>(1, |_, _| {
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+        });
+        assert_eq!(*ran_on.lock().unwrap(), Some(caller));
     }
 }
 

@@ -37,15 +37,38 @@
 //!   the approximate Theorem-3 locator) degrades to exactly the dense
 //!   evaluation in one batch.
 //!
+//! ## Parallel execution
+//!
+//! Once a cell has its parent certificate, its subtree reads nothing
+//! but that certificate, the engine and its own pixels: the subtrees of
+//! the refinement are independent. The top of the recursion therefore
+//! runs serially down to regions of at most 1/64 of the raster (never
+//! below 4096 pixels, so small rasters are a single task); each region
+//! reached there becomes one task carrying exactly the parent
+//! certificate the one-thread recursion would have passed it, and the
+//! tasks run on `sinr-core`'s work-stealing scheduler
+//! ([`sinr_core::tile::steal_tiles`]). A certificate-less backend hands
+//! the whole raster to one task, which defers every pixel as before.
+//! The split cannot change answers or [`HierarchicalStats`]: every
+//! region is certified by the same call, under the same parent, at the
+//! same midpoints as in the one-thread recursion, so every pixel is
+//! decided by the same certificate or backend call — only the thread
+//! that runs a subtree changes. Tasks write disjoint row slices of the
+//! one label buffer (split up front in safe code), and their unresolved
+//! pixels and counters merge in task order, which is the one-thread
+//! recursion's visiting order — so even the final `locate_batch` sees
+//! the same points in the same order.
+//!
 //! The payoff is reported, not assumed: [`HierarchicalStats`] carries
 //! the evaluated-pixel fraction (the `cells_evaluated / pixels` metric
 //! the perf harness trends).
 
-use crate::raster::{pixel_center, PixelLabel, Raster, ReceptionMap};
+use crate::raster::{assert_window, pixel_center, PixelLabel, Raster, ReceptionMap};
 use sinr_core::engine::{Located, QueryEngine};
-use sinr_core::tile::{CellCert, CellDecision};
+use sinr_core::tile::{steal_tiles, CellCert, CellDecision};
 use sinr_core::Network;
 use sinr_geometry::{BBox, Point};
+use std::sync::Mutex;
 
 /// Below this many pixels a region skips certification and goes straight
 /// to the batched per-pixel evaluation: a certificate costs at least a
@@ -57,7 +80,7 @@ const MIN_CERT_PIXELS: usize = 4;
 /// Observability of one hierarchical rasterisation (the counters say
 /// nothing about answers, which are always bit-identical to the dense
 /// path of the same backend).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchicalStats {
     /// Total pixels of the raster (`width · height`).
     pub pixels: u64,
@@ -91,74 +114,198 @@ impl HierarchicalStats {
     }
 }
 
-/// The refinement worklist context: grid geometry, the accumulating
-/// label buffer, and the deferred per-pixel batch.
+/// The serial top of the refinement hands every region of at most
+/// `1 / SPLIT_FANOUT` of the raster to a parallel task — 64 blocks, the
+/// third quadtree level of a square grid: enough to keep every core of
+/// a small machine busy through the skew between boundary-dense and
+/// certified-at-once blocks.
+const SPLIT_FANOUT: usize = 64;
+
+/// Regions of at most this many pixels always form one task, so small
+/// rasters run as a single task on the calling thread instead of paying
+/// thread spawns for microseconds of work.
+const MIN_TASK_PIXELS: usize = 4096;
+
+/// A half-open pixel-index region `[c0, c1) × [r0, r1)`.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    c0: usize,
+    c1: usize,
+    r0: usize,
+    r1: usize,
+}
+
+impl Region {
+    fn new(c0: usize, c1: usize, r0: usize, r1: usize) -> Self {
+        Region { c0, c1, r0, r1 }
+    }
+
+    fn width(&self) -> usize {
+        self.c1 - self.c0
+    }
+
+    fn pixels(&self) -> usize {
+        self.width() * (self.r1 - self.r0)
+    }
+
+    /// The quadrants (long-axis halves for strips), in visiting order;
+    /// a strip's missing halves come out empty.
+    fn children(&self) -> [Region; 4] {
+        let Region { c0, c1, r0, r1 } = *self;
+        let cm = if c1 - c0 > 1 { c0 + (c1 - c0) / 2 } else { c1 };
+        let rm = if r1 - r0 > 1 { r0 + (r1 - r0) / 2 } else { r1 };
+        [
+            Region::new(c0, cm, r0, rm),
+            Region::new(cm, c1, r0, rm),
+            Region::new(c0, cm, rm, r1),
+            Region::new(cm, c1, rm, r1),
+        ]
+    }
+}
+
+/// One independent subtree of the refinement: a region together with
+/// the certificate its parent cell would pass it.
+struct Task {
+    region: Region,
+    parent: Option<CellCert>,
+}
+
+/// The refinement state of one region of the raster: grid geometry, the
+/// region's own rows of the label buffer, and its deferred per-pixel
+/// batch.
 struct Refiner<'a, E: QueryEngine + ?Sized> {
     engine: &'a E,
     window: &'a BBox,
     width: usize,
     height: usize,
-    cells: Vec<PixelLabel>,
-    /// Row-major indices of pixels no certificate resolved.
+    /// The pixels `rows` covers.
+    area: Region,
+    /// The labels of `area`, one slice per raster row (bottom first).
+    rows: Vec<&'a mut [PixelLabel]>,
+    /// Raster-wide row-major indices of pixels no certificate resolved.
     unresolved: Vec<usize>,
     stats: HierarchicalStats,
 }
 
-impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
-    /// Refines the half-open pixel-index region `[c0, c1) × [r0, r1)`
-    /// under a (contained) parent certificate.
-    fn refine(&mut self, c0: usize, c1: usize, r0: usize, r1: usize, parent: Option<&CellCert>) {
-        let count = (c1 - c0) * (r1 - r0);
+impl<'a, E: QueryEngine + ?Sized> Refiner<'a, E> {
+    fn new(
+        engine: &'a E,
+        window: &'a BBox,
+        (width, height): (usize, usize),
+        area: Region,
+        rows: Vec<&'a mut [PixelLabel]>,
+    ) -> Self {
+        Refiner {
+            engine,
+            window,
+            width,
+            height,
+            area,
+            rows,
+            unresolved: Vec::new(),
+            stats: HierarchicalStats::default(),
+        }
+    }
+
+    /// The labels of raster row `row` over columns `c0..c1`.
+    fn labels(&mut self, row: usize, c0: usize, c1: usize) -> &mut [PixelLabel] {
+        let start = c0 - self.area.c0;
+        &mut self.rows[row - self.area.r0][start..start + (c1 - c0)]
+    }
+
+    fn center(&self, col: usize, row: usize) -> Point {
+        pixel_center(self.window, self.width, self.height, col, row)
+    }
+
+    /// Certifies a region under its (containing) parent certificate.
+    fn certify(&mut self, region: Region, parent: Option<&CellCert>) -> Option<CellCert> {
+        // The certified box spans the pixel *centres* of the region —
+        // the only points the raster ever samples. (For 1-wide strips
+        // this is a flat box; the certificate layer accepts it.)
+        let lo = self.center(region.c0, region.r0);
+        let hi = self.center(region.c1 - 1, region.r1 - 1);
+        let cert = self.engine.sinr_bounds_cell(lo, hi, parent)?;
+        self.stats.certificates += 1;
+        Some(cert)
+    }
+
+    /// The serial top of the refinement: recurses exactly like
+    /// [`Refiner::refine`], but hands each region of at most
+    /// `task_pixels` — and each region a certificate-less backend
+    /// cannot certify — to `tasks`, in the order `refine` would visit
+    /// them.
+    fn split(
+        &mut self,
+        region: Region,
+        parent: Option<&CellCert>,
+        task_pixels: usize,
+        tasks: &mut Vec<Task>,
+    ) {
+        let count = region.pixels();
+        if count == 0 {
+            return;
+        }
+        let cert = if count > task_pixels {
+            self.certify(region, parent)
+        } else {
+            None
+        };
+        let Some(cert) = cert else {
+            // Small enough for one task — or not certifiable, and then
+            // the task repeats the (pure) certificate call and defers
+            // the whole region, exactly as `refine` would here.
+            tasks.push(Task {
+                region,
+                parent: parent.cloned(),
+            });
+            return;
+        };
+        match cert.decision() {
+            CellDecision::Reception(i) => self.fill(region, PixelLabel::Heard(i)),
+            CellDecision::Silent => self.fill(region, PixelLabel::Silent),
+            CellDecision::Mixed => {
+                for child in region.children() {
+                    self.split(child, Some(&cert), task_pixels, tasks);
+                }
+            }
+        }
+    }
+
+    /// Refines a region under a (contained) parent certificate.
+    fn refine(&mut self, region: Region, parent: Option<&CellCert>) {
+        let count = region.pixels();
         if count == 0 {
             return;
         }
         if count < MIN_CERT_PIXELS {
-            self.defer(c0, c1, r0, r1, parent);
+            self.defer(region, parent);
             return;
         }
-        // The certified box spans the pixel *centres* of the region —
-        // the only points the raster ever samples. (For 1-wide strips
-        // this is a flat box; the certificate layer accepts it.)
-        let lo = pixel_center(self.window, self.width, self.height, c0, r0);
-        let hi = pixel_center(self.window, self.width, self.height, c1 - 1, r1 - 1);
-        let cert = match self.engine.sinr_bounds_cell(lo, hi, parent) {
-            Some(cert) => cert,
+        let Some(cert) = self.certify(region, parent) else {
             // Certificate-less backend: dense-equivalent in one batch.
-            None => {
-                self.defer(c0, c1, r0, r1, None);
-                return;
-            }
+            self.defer(region, None);
+            return;
         };
-        self.stats.certificates += 1;
         match cert.decision() {
-            CellDecision::Reception(i) => self.fill(c0, c1, r0, r1, PixelLabel::Heard(i)),
-            CellDecision::Silent => self.fill(c0, c1, r0, r1, PixelLabel::Silent),
+            CellDecision::Reception(i) => self.fill(region, PixelLabel::Heard(i)),
+            CellDecision::Silent => self.fill(region, PixelLabel::Silent),
             CellDecision::Mixed => {
                 // Subdivide (long-axis-only for strips) and push the
                 // certificate down: children re-envelope only its
                 // surviving candidates.
-                let cm = if c1 - c0 > 1 { c0 + (c1 - c0) / 2 } else { c1 };
-                let rm = if r1 - r0 > 1 { r0 + (r1 - r0) / 2 } else { r1 };
-                self.refine(c0, cm, r0, rm, Some(&cert));
-                if cm < c1 {
-                    self.refine(cm, c1, r0, rm, Some(&cert));
-                }
-                if rm < r1 {
-                    self.refine(c0, cm, rm, r1, Some(&cert));
-                    if cm < c1 {
-                        self.refine(cm, c1, rm, r1, Some(&cert));
-                    }
+                for child in region.children() {
+                    self.refine(child, Some(&cert));
                 }
             }
         }
     }
 
     /// Resolves a whole region from a certified uniform decision.
-    fn fill(&mut self, c0: usize, c1: usize, r0: usize, r1: usize, label: PixelLabel) {
-        for row in r0..r1 {
-            self.cells[row * self.width + c0..row * self.width + c1].fill(label);
+    fn fill(&mut self, region: Region, label: PixelLabel) {
+        for row in region.r0..region.r1 {
+            self.labels(row, region.c0, region.c1).fill(label);
         }
-        self.stats.certified_pixels += ((c1 - c0) * (r1 - r0)) as u64;
+        self.stats.certified_pixels += region.pixels() as u64;
     }
 
     /// Resolves a sub-certificate-sized region per pixel against its
@@ -169,16 +316,17 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
     /// scattered, so the final batch's Morton tiles span wide boxes and
     /// prune poorly, while the certificate in hand already names the
     /// few competitive stations.
-    fn defer(&mut self, c0: usize, c1: usize, r0: usize, r1: usize, parent: Option<&CellCert>) {
+    fn defer(&mut self, region: Region, parent: Option<&CellCert>) {
+        let Region { c0, c1, r0, r1 } = region;
         if let Some(cert) = parent {
-            let count = (c1 - c0) * (r1 - r0);
+            let count = region.pixels();
             if count < MIN_CERT_PIXELS {
                 let mut pts = [Point::ORIGIN; MIN_CERT_PIXELS - 1];
                 let mut located = [None; MIN_CERT_PIXELS - 1];
                 let mut k = 0usize;
                 for row in r0..r1 {
                     for col in c0..c1 {
-                        pts[k] = pixel_center(self.window, self.width, self.height, col, row);
+                        pts[k] = self.center(col, row);
                         k += 1;
                     }
                 }
@@ -193,12 +341,7 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
                                 Some(loc) => {
                                     self.stats.cells_evaluated += 1;
                                     self.stats.point_certified += 1;
-                                    self.cells[row * self.width + col] = match loc {
-                                        Located::Reception(id) => PixelLabel::Heard(id),
-                                        Located::Uncertain(_) | Located::Silent => {
-                                            PixelLabel::Silent
-                                        }
-                                    };
+                                    self.labels(row, col, col + 1)[0] = label_of(loc);
                                 }
                                 None => self.unresolved.push(row * self.width + col),
                             }
@@ -217,6 +360,95 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
     }
 }
 
+/// The [`Located`]-to-[`PixelLabel`] projection of the dense path
+/// (uncertain pixels label silent).
+fn label_of(loc: Located) -> PixelLabel {
+    match loc {
+        Located::Reception(id) => PixelLabel::Heard(id),
+        Located::Uncertain(_) | Located::Silent => PixelLabel::Silent,
+    }
+}
+
+/// The whole refinement short of the final batch, writing certified
+/// and point-certified labels into `cells` (row-major, `width` wide)
+/// and returning the unresolved pixels with the counters: the serial
+/// top splits the raster into tasks, the scheduler runs them, and their
+/// unresolved lists and counters merge in task order — which is the
+/// order the one-thread recursion visits them, so the merged list is
+/// that recursion's too.
+fn refine_in_tasks<E: QueryEngine + Sync + ?Sized>(
+    engine: &E,
+    window: &BBox,
+    (width, height): (usize, usize),
+    cells: &mut [PixelLabel],
+) -> (Vec<usize>, HierarchicalStats) {
+    let raster = Region::new(0, width, 0, height);
+    let task_pixels = (raster.pixels() / SPLIT_FANOUT).max(MIN_TASK_PIXELS);
+    let mut tasks = Vec::new();
+    let rows = cells.chunks_mut(width).collect();
+    let mut top = Refiner::new(engine, window, (width, height), raster, rows);
+    top.split(raster, None, task_pixels, &mut tasks);
+    let (mut unresolved, mut stats) = (top.unresolved, top.stats);
+    let refiners: Vec<Mutex<Refiner<'_, E>>> = tasks
+        .iter()
+        .zip(task_rows(cells, width, &tasks))
+        .map(|(task, rows)| {
+            Mutex::new(Refiner::new(
+                engine,
+                window,
+                (width, height),
+                task.region,
+                rows,
+            ))
+        })
+        .collect();
+    steal_tiles::<(), _>(tasks.len(), |t, _| {
+        // Each task index is claimed exactly once: the lock never waits.
+        let mut refiner = refiners[t].lock().expect("a task never runs twice");
+        refiner.refine(tasks[t].region, tasks[t].parent.as_ref());
+    });
+    for refiner in refiners {
+        let task = refiner.into_inner().expect("every task ran to completion");
+        unresolved.extend_from_slice(&task.unresolved);
+        stats.cells_evaluated += task.stats.cells_evaluated;
+        stats.certificates += task.stats.certificates;
+        stats.point_certified += task.stats.point_certified;
+        stats.certified_pixels += task.stats.certified_pixels;
+    }
+    (unresolved, stats)
+}
+
+/// Splits the label buffer into every task's row slices. Tasks are
+/// disjoint regions, so each pixel lands in at most one task — the
+/// safe-code proof that tasks on different threads never share a label.
+fn task_rows<'a>(
+    cells: &'a mut [PixelLabel],
+    width: usize,
+    tasks: &[Task],
+) -> Vec<Vec<&'a mut [PixelLabel]>> {
+    let mut views: Vec<Vec<&mut [PixelLabel]>> = tasks
+        .iter()
+        .map(|task| Vec::with_capacity(task.region.r1 - task.region.r0))
+        .collect();
+    let mut cuts = Vec::new();
+    for (row, mut rest) in cells.chunks_mut(width).enumerate() {
+        cuts.clear();
+        cuts.extend(tasks.iter().enumerate().filter_map(|(t, task)| {
+            let Region { c0, c1, r0, r1 } = task.region;
+            (r0..r1).contains(&row).then_some((c0, c1, t))
+        }));
+        cuts.sort_unstable();
+        let mut at = 0;
+        for &(c0, c1, t) in &cuts {
+            let (segment, tail) = std::mem::take(&mut rest)[c0 - at..].split_at_mut(c1 - c0);
+            views[t].push(segment);
+            rest = tail;
+            at = c1;
+        }
+    }
+    views
+}
+
 /// Rasterises any [`QueryEngine`] backend over a window by quadtree
 /// refinement — the engine-generic worker behind
 /// [`ReceptionMap::compute_hierarchical`], with the same
@@ -227,13 +459,15 @@ impl<E: QueryEngine + ?Sized> Refiner<'_, E> {
 /// The raster is bit-identical to the dense
 /// [`ReceptionMap::compute_with_engine`] on the same backend; the
 /// returned [`HierarchicalStats`] reports how little of it was paid for
-/// per-pixel.
+/// per-pixel. Independent subtrees run on the work-stealing scheduler
+/// of `sinr-core` (see the module docs' *Parallel execution*), hence
+/// the `Sync` bound.
 ///
 /// # Panics
 ///
 /// Panics if either dimension is zero or the window is degenerate (zero
 /// width or height), exactly like the dense path.
-pub fn hierarchical_map<E: QueryEngine + ?Sized>(
+pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     engine: &E,
     window: BBox,
     width: usize,
@@ -243,25 +477,10 @@ pub fn hierarchical_map<E: QueryEngine + ?Sized>(
         width > 0 && height > 0,
         "raster dimensions must be positive"
     );
-    // Reuse the dense path's degenerate-window rejection (zero-extent
-    // windows poison the pixel-centre arithmetic).
-    let probe = crate::raster::pixel_centers(&window, 1, 1);
-    drop(probe);
-    let mut refiner = Refiner {
-        engine,
-        window: &window,
-        width,
-        height,
-        cells: vec![PixelLabel::Silent; width * height],
-        unresolved: Vec::new(),
-        stats: HierarchicalStats {
-            pixels: (width * height) as u64,
-            ..HierarchicalStats::default()
-        },
-    };
-    refiner.refine(0, width, 0, height, None);
-    let unresolved = std::mem::take(&mut refiner.unresolved);
-    refiner.stats.cells_evaluated += unresolved.len() as u64;
+    // Zero-extent windows poison the pixel-centre arithmetic.
+    assert_window(&window);
+    let mut cells = vec![PixelLabel::Silent; width * height];
+    let (unresolved, stats) = refine_in_tasks(engine, &window, (width, height), &mut cells);
     if !unresolved.is_empty() {
         let centers: Vec<Point> = unresolved
             .iter()
@@ -269,18 +488,16 @@ pub fn hierarchical_map<E: QueryEngine + ?Sized>(
             .collect();
         let mut located = vec![Located::Silent; centers.len()];
         engine.locate_batch(&centers, &mut located);
-        for (&idx, loc) in unresolved.iter().zip(located.iter()) {
-            refiner.cells[idx] = match loc {
-                Located::Reception(i) => PixelLabel::Heard(*i),
-                Located::Uncertain(_) | Located::Silent => PixelLabel::Silent,
-            };
+        for (&idx, &loc) in unresolved.iter().zip(located.iter()) {
+            cells[idx] = label_of(loc);
         }
     }
-    let stats = refiner.stats;
-    (
-        Raster::from_cells(window, width, height, refiner.cells),
-        stats,
-    )
+    let stats = HierarchicalStats {
+        pixels: (width * height) as u64,
+        cells_evaluated: stats.cells_evaluated + unresolved.len() as u64,
+        ..stats
+    };
+    (Raster::from_cells(window, width, height, cells), stats)
 }
 
 impl ReceptionMap {
@@ -304,7 +521,7 @@ impl ReceptionMap {
     /// [`ReceptionMap::compute_hierarchical`] through a caller-supplied
     /// backend — the hierarchical counterpart of
     /// [`ReceptionMap::compute_with_engine`].
-    pub fn compute_hierarchical_with_engine<E: QueryEngine + ?Sized>(
+    pub fn compute_hierarchical_with_engine<E: QueryEngine + Sync + ?Sized>(
         engine: &E,
         window: BBox,
         width: usize,
@@ -338,6 +555,38 @@ mod tests {
             "refinement should certify most pixels, evaluated fraction {}",
             stats.fraction()
         );
+    }
+
+    /// The split only moves subtrees between threads: every label the
+    /// certificates resolve, the unresolved list (in order) and the
+    /// counters equal those of the one-thread recursion from the root.
+    #[test]
+    fn tasks_replay_the_serial_recursion() {
+        // Dense enough, and in the first window close enough to zone
+        // boundaries at task corners, that a task handed a fresh root
+        // certificate instead of its chained parent changes the counters.
+        let net = sinr_core::gen::random_uniform_network(7, 4096, 64.0, 0.01, 2.0).unwrap();
+        let engine = sinr_core::SimdScan::new(&net);
+        for (cx, cy, half) in [(-30.0, 20.0, 4.0), (0.0, 0.0, 6.0), (7.5, -3.0, 8.0)] {
+            let window = BBox::new(
+                Point::new(cx - half, cy - half),
+                Point::new(cx + half, cy + half),
+            );
+            for (w, h) in [(1024, 1024), (1000, 600), (1024, 3), (3, 1024), (64, 64)] {
+                let raster = Region::new(0, w, 0, h);
+                let mut serial_cells = vec![PixelLabel::Silent; w * h];
+                let rows = serial_cells.chunks_mut(w).collect();
+                let mut serial = Refiner::new(&engine, &window, (w, h), raster, rows);
+                serial.refine(raster, None);
+                let (serial_unresolved, serial_stats) = (serial.unresolved, serial.stats);
+                let mut cells = vec![PixelLabel::Silent; w * h];
+                let (unresolved, stats) = refine_in_tasks(&engine, &window, (w, h), &mut cells);
+                let tag = format!("{window} at {w}×{h}");
+                assert_eq!(serial_stats, stats, "{tag}");
+                assert!(serial_unresolved == unresolved, "{tag}: unresolved differ");
+                assert!(serial_cells == cells, "{tag}: labels differ");
+            }
+        }
     }
 
     #[test]

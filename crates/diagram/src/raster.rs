@@ -150,7 +150,7 @@ impl<T> Raster<T> {
 /// points) would collapse every pixel centre onto one line and poison
 /// any later division by the pixel extent with `NaN`/`∞`. `BBox::new`
 /// only forbids *inverted* corners, so the raster layer must check this.
-fn assert_window(window: &BBox) {
+pub(crate) fn assert_window(window: &BBox) {
     assert!(
         window.width() > 0.0 && window.height() > 0.0,
         "degenerate raster window {window}: width and height must both be positive"

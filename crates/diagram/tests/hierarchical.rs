@@ -23,9 +23,10 @@ use sinr_pointloc::{PointLocator, QdsConfig};
 
 /// Every backend the workspace ships, boxed behind the trait object the
 /// server serves through (the Theorem-3 locator is added by callers that
-/// can build one).
-fn backends(net: &Network) -> Vec<(String, Box<dyn QueryEngine>)> {
-    let mut engines: Vec<(String, Box<dyn QueryEngine>)> = vec![
+/// can build one). `Sync`: the refinement runs independent subtrees on
+/// the work-stealing scheduler.
+fn backends(net: &Network) -> Vec<(String, Box<dyn QueryEngine + Sync>)> {
+    let mut engines: Vec<(String, Box<dyn QueryEngine + Sync>)> = vec![
         ("ExactScan".into(), Box::new(ExactScan::new(net))),
         (
             "VoronoiAssisted".into(),
@@ -80,7 +81,12 @@ fn assert_hier_equals_dense(net: &Network, window: BBox, width: usize, height: u
             ReceptionMap::compute_hierarchical_with_engine(&qds, window, width, height);
         assert_eq!(dense, hier, "{tag}: Qds locator");
         assert_eq!(
-            stats.certified_pixels, 0,
+            (
+                stats.certificates,
+                stats.certified_pixels,
+                stats.cells_evaluated
+            ),
+            (0, 0, stats.pixels),
             "{tag}: a certificate-less backend cannot certify pixels"
         );
     }
@@ -191,16 +197,76 @@ fn beta_above_and_below_every_reach() {
     // the root or near it).
     let net =
         Network::uniform(vec![Point::new(-2.0, 0.0), Point::new(2.0, 0.0)], 0.05, 2.0).unwrap();
+    // At 1024² the raster is large enough to split into tasks; the split
+    // only applies to regions the serial top leaves `Mixed`.
     let window = BBox::new(Point::new(500.0, 500.0), Point::new(520.0, 520.0));
-    for (name, engine) in backends(&net) {
-        let (hier, stats) =
-            ReceptionMap::compute_hierarchical_with_engine(engine.as_ref(), window, 64, 64);
-        let dense = ReceptionMap::compute_with_engine(engine.as_ref(), window, 64, 64);
-        assert_eq!(dense, hier, "far-silent: {name}");
-        assert_eq!(
-            stats.cells_evaluated, 0,
-            "far-silent window must certify at the root for {name}"
+    for side in [64, 1024] {
+        for (name, engine) in backends(&net) {
+            let (hier, stats) =
+                ReceptionMap::compute_hierarchical_with_engine(engine.as_ref(), window, side, side);
+            let dense = ReceptionMap::compute_with_engine(engine.as_ref(), window, side, side);
+            assert_eq!(dense, hier, "far-silent {side}²: {name}");
+            assert_eq!(
+                (stats.certificates, stats.cells_evaluated),
+                (1, 0),
+                "far-silent {side}² window must certify at the root for {name}"
+            );
+        }
+    }
+}
+
+/// Rasters large enough that the refinement splits into parallel tasks
+/// — square, non-square, and both strip orientations (strips subdivide
+/// along their long axis only, so their tasks are strip segments):
+/// still bit-identical to dense on every backend and kernel.
+#[test]
+fn rasters_crossing_the_task_split_equal_dense() {
+    let net = gen::random_uniform_network(21, 32, 10.0, 0.01, 2.0).unwrap();
+    let window = BBox::new(Point::new(-6.0, -5.0), Point::new(5.0, 6.0));
+    for (width, height) in [(1024, 1024), (1000, 600), (2048, 3), (3, 2048)] {
+        assert_hier_equals_dense(
+            &net,
+            window,
+            width,
+            height,
+            &format!("split {width}×{height}"),
         );
+    }
+    // A network small enough for the helper's certificate-less QDS leg,
+    // on a raster above the 4096-pixel task size (the QDS build and
+    // dense pass are too slow in debug builds for the rasters above).
+    let small = gen::random_uniform_network(23, 6, 8.0, 0.02, 1.5).unwrap();
+    assert_hier_equals_dense(
+        &small,
+        BBox::centered_square(8.0),
+        160,
+        128,
+        "qds above split",
+    );
+}
+
+/// The counters describe the refinement tree, which the thread
+/// placement of its subtrees must not change: repeated calls agree
+/// exactly, and every pixel is accounted for once.
+#[test]
+fn stats_are_identical_across_repeated_calls() {
+    let net = gen::random_uniform_network(22, 48, 10.0, 0.01, 2.0).unwrap();
+    let window = BBox::centered_square(10.0);
+    for (name, engine) in backends(&net) {
+        let (first_map, first) =
+            ReceptionMap::compute_hierarchical_with_engine(engine.as_ref(), window, 1024, 1024);
+        assert_eq!(
+            first.cells_evaluated + first.certified_pixels,
+            first.pixels,
+            "{name}: pixel accounting"
+        );
+        assert!(first.certificates > 1, "{name}: the window must refine");
+        for _ in 0..2 {
+            let (map, stats) =
+                ReceptionMap::compute_hierarchical_with_engine(engine.as_ref(), window, 1024, 1024);
+            assert_eq!(stats, first, "{name}: stats changed between calls");
+            assert_eq!(map, first_map, "{name}: raster changed between calls");
+        }
     }
 }
 

@@ -733,7 +733,7 @@ fn push_point(buf: &mut Vec<u8>, p: Point) {
 /// client materialises on decode — independently of how small the
 /// run-length encoding turns out. Whether the *encoded* response fits a
 /// frame is a separate check the session makes against the real run
-/// count ([`run_count`]): a near-uniform 2048² map is a few KB of runs
+/// count ([`collect_runs`]): a near-uniform 2048² map is a few KB of runs
 /// and round-trips fine, while a worst-case checkerboard of the same
 /// size is refused as oversized only because it genuinely is.
 pub const MAX_HEATMAP_PIXELS: u64 = 16 * 1024 * 1024;
@@ -760,23 +760,25 @@ fn push_runs(buf: &mut Vec<u8>, answers: &[Located]) {
     }
 }
 
-/// The number of runs [`push_runs`] would emit for `answers` — the
-/// exact encoded length is `9 × run_count` bytes. Lets the session
-/// check a response's real wire size against the frame limit *before*
-/// encoding (and refuse with a typed error instead of dying on
-/// `send_frame`'s length check).
-pub(crate) fn run_count(answers: &[Located]) -> usize {
+/// Collects `answers` (reserving `capacity`) and counts, in the same
+/// pass, the runs [`push_runs`] will emit for them — the exact encoded
+/// length is `9 × runs` bytes. Lets the session check a response's real
+/// wire size against the frame limit *before* encoding (and refuse with
+/// a typed error instead of dying on `send_frame`'s length check)
+/// without a second pass over a megapixel raster.
+pub(crate) fn collect_runs(
+    answers: impl IntoIterator<Item = Located>,
+    capacity: usize,
+) -> (Vec<Located>, usize) {
+    let mut out = Vec::with_capacity(capacity);
     let mut runs = 0;
-    let mut i = 0;
-    while i < answers.len() {
-        let mut j = i + 1;
-        while j < answers.len() && answers[j] == answers[i] {
-            j += 1;
+    for answer in answers {
+        if out.last() != Some(&answer) {
+            runs += 1;
         }
-        runs += 1;
-        i = j;
+        out.push(answer);
     }
-    runs
+    (out, runs)
 }
 
 /// Decodes exactly `total` run-length encoded answers. The caller must
@@ -1608,7 +1610,7 @@ mod tests {
 
     #[test]
     fn run_count_predicts_encoded_heatmap_length() {
-        // The session's pre-send size check relies on `run_count`
+        // The session's pre-send size check relies on `collect_runs`
         // agreeing byte-for-byte with what `push_runs` will emit:
         // 25 header bytes + 9 per run.
         let mut cells = Vec::new();
@@ -1623,7 +1625,8 @@ mod tests {
                 cells.push(answer);
             }
         }
-        let runs = run_count(&cells);
+        let (collected, runs) = collect_runs(cells.iter().copied(), cells.len());
+        assert_eq!(collected, cells);
         let bytes = encode_response(&Response::Heatmap {
             revision: 5,
             width: cells.len() as u32,
@@ -1632,8 +1635,8 @@ mod tests {
             cells: cells.clone(),
         });
         assert_eq!(bytes.len(), 25 + 9 * runs);
-        assert_eq!(run_count(&[]), 0);
-        assert_eq!(run_count(&vec![Located::Silent; 10_000]), 1);
+        assert_eq!(collect_runs([], 0).1, 0);
+        assert_eq!(collect_runs(vec![Located::Silent; 10_000], 0).1, 1);
     }
 
     #[test]

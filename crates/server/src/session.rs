@@ -583,18 +583,17 @@ fn heatmap_on(engine: &BoxedEngine, min: Point, max: Point, width: u32, height: 
         width as usize,
         height as usize,
     );
-    let mut answers = Vec::with_capacity(width as usize * height as usize);
-    for row in 0..height as usize {
-        for col in 0..width as usize {
-            answers.push(match map.at(col, row) {
-                sinr_diagram::PixelLabel::Heard(i) => Located::Reception(i),
-                sinr_diagram::PixelLabel::Silent => Located::Silent,
-            });
-        }
-    }
-    // The real frame-size check: 25 bytes of header (tag + revision +
-    // dims + cells_evaluated) plus exactly 9 bytes per run.
-    let encoded = 25 + 9 * crate::protocol::run_count(&answers);
+    // Materialise the answers and count their runs in one pass. The
+    // real frame-size check: 25 bytes of header (tag + revision + dims
+    // + cells_evaluated) plus exactly 9 bytes per run.
+    let (answers, runs) = crate::protocol::collect_runs(
+        map.iter().map(|(_, _, label)| match label {
+            sinr_diagram::PixelLabel::Heard(i) => Located::Reception(i),
+            sinr_diagram::PixelLabel::Silent => Located::Silent,
+        }),
+        width as usize * height as usize,
+    );
+    let encoded = 25 + 9 * runs;
     if encoded > MAX_FRAME_LEN {
         return error(
             ErrorCode::Oversized,
