@@ -17,7 +17,12 @@
 //! driven through `batch_map`), per backend, answers asserted
 //! identical; its `"scenario":"tiled"` lines carry the executor's
 //! pruning statistics (mean candidate-set size, certified-decision
-//! fallback fraction).
+//! fallback fraction). A sparse variant — 4096 stations × 16384 points
+//! uniform over the station box ×1.05, the shape the serving
+//! benchmark's `bulk_locate` sends — emits the same lines with
+//! `"query_points":16384`; there the sub-tile re-prune, reported as
+//! `mean_scanned_candidates` next to the tile-level `mean_candidates`,
+//! does most of the narrowing.
 //!
 //! The **nonuniform** scenario (PR 9) runs `VoronoiAssisted` on a
 //! clustered-power network — where dispatch is the weighted
@@ -216,9 +221,33 @@ fn emit_json_lines() {
         // actually engages — at n = 16 both timed paths are the same
         // per-point scheduler and a "tiled" line would be noise.
         if TileConfig::default().engages(queries.len(), n) {
-            emit_tiled_json_lines(n, &net, &queries);
+            emit_tiled_json_lines(n, &net, &queries, 1);
         }
     }
+}
+
+/// Station box half-width of the sparse tiled line: density 1/4 per
+/// unit² at 4096 stations, the shape of the serving benchmark's
+/// `bulk_locate` network.
+const SPARSE_HALF: f64 = 64.0;
+/// Query points of the sparse tiled line: four per station.
+const SPARSE_POINTS: usize = 16_384;
+/// Timed repetitions of the sparse tiled line (minimum reported): one
+/// 16384-point batch takes only milliseconds.
+const SPARSE_REPS: usize = 5;
+
+/// The sparse tiled record: 4096 stations × 16384 points uniform over
+/// the station box ×1.05 — about four points per station, so a tile
+/// spans many zones and the sub-tile re-prune does the narrowing. Same
+/// `"scenario":"tiled"` lines as the dense sweep (answers asserted
+/// identical to the per-point path), told apart by
+/// `"query_points":16384`.
+fn emit_sparse_tiled_json_lines() {
+    let n = 4096;
+    let net = gen::random_uniform_network(42 + n as u64, n, SPARSE_HALF, 0.01, 2.0).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7 + n as u64);
+    let queries = gen::uniform_in_box(&mut rng, SPARSE_POINTS, SPARSE_HALF * 1.05);
+    emit_tiled_json_lines(n, &net, &queries, SPARSE_REPS);
 }
 
 /// The tiled-executor record: the spatially-coherent tiled batch path
@@ -226,8 +255,14 @@ fn emit_json_lines() {
 /// per-point path (the same serial kernels driven point-by-point
 /// through `batch_map`), per backend, answers asserted identical. One
 /// `"scenario":"tiled"` line per backend per station count, with the
-/// executor's pruning statistics.
-fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
+/// executor's pruning statistics. Timings are the minimum of `reps`
+/// runs.
+fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point], reps: usize) {
+    let time = |f: &mut dyn FnMut()| {
+        (0..reps)
+            .map(|_| time_ns_per_point(queries.len(), &mut *f))
+            .fold(f64::INFINITY, f64::min)
+    };
     let exact = ExactScan::new(net);
     let simd = SimdScan::new(net);
     let voronoi = VoronoiAssisted::new(net);
@@ -253,6 +288,14 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
                 stats.mean_candidates().unwrap_or(f64::NAN),
             )
             .num(
+                "mean_scanned_candidates",
+                stats.mean_scanned_candidates().unwrap_or(f64::NAN),
+            )
+            .num(
+                "escalated_fraction",
+                stats.escalated_points as f64 / stats.points as f64,
+            )
+            .num(
                 "fallback_fraction",
                 stats.fallback_points as f64 / stats.points as f64,
             );
@@ -260,10 +303,10 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     };
 
     // ExactScan: tiled locate_batch vs the per-point scalar kernel.
-    let tiled_ns = time_ns_per_point(queries.len(), || {
+    let tiled_ns = time(&mut || {
         exact.locate_batch(black_box(queries), &mut tiled);
     });
-    let pp_ns = time_ns_per_point(queries.len(), || {
+    let pp_ns = time(&mut || {
         batch_map(black_box(queries), &mut perpoint, |p| exact.locate(*p));
     });
     assert_eq!(tiled, perpoint, "ExactScan tiled/per-point answers diverge");
@@ -279,10 +322,10 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     emit("exact_scan", "portable", tiled_ns, pp_ns, stats);
 
     // SimdScan: tiled with its detected kernel vs per-point full scans.
-    let tiled_ns = time_ns_per_point(queries.len(), || {
+    let tiled_ns = time(&mut || {
         simd.locate_batch(black_box(queries), &mut tiled);
     });
-    let pp_ns = time_ns_per_point(queries.len(), || {
+    let pp_ns = time(&mut || {
         batch_map(black_box(queries), &mut perpoint, |p| simd.locate(*p));
     });
     assert_eq!(tiled, perpoint, "SimdScan tiled/per-point answers diverge");
@@ -300,10 +343,10 @@ fn emit_tiled_json_lines(n: usize, net: &Network, queries: &[Point]) {
     // VoronoiAssisted: tiled nearest-mode (valid here — the bench
     // network is uniform-power, matching the backend's own dispatch)
     // vs the per-point kd-tree walk.
-    let tiled_ns = time_ns_per_point(queries.len(), || {
+    let tiled_ns = time(&mut || {
         voronoi.locate_batch(black_box(queries), &mut tiled);
     });
-    let pp_ns = time_ns_per_point(queries.len(), || {
+    let pp_ns = time(&mut || {
         batch_map(black_box(queries), &mut perpoint, |p| voronoi.locate(*p));
     });
     assert_eq!(
@@ -907,6 +950,7 @@ fn emit_heatmap_json_lines() {
 fn main() {
     benches();
     emit_json_lines();
+    emit_sparse_tiled_json_lines();
     emit_nonuniform_json_lines();
     emit_smallbatch_json_lines();
     emit_churn_json_lines();

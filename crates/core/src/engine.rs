@@ -101,14 +101,18 @@
 //!      dominated everywhere in the tile are **pruned** from the
 //!      per-point scans, their interference carried as a certified
 //!      residual interval;
-//!    * each point scans only the gathered candidate columns (through
+//!    * each 32-point sub-tile re-prunes the tile's candidate set over
+//!      its own smaller box (the newly pruned envelopes join the
+//!      residual), so a point scans only the locally competitive
+//!      stations;
+//!    * each point scans only its gathered candidate columns (through
 //!      the same SIMD kernels as the full scans), and the reception
 //!      test is evaluated at both ends of the residual interval — a
 //!      **pruning certificate**: agreement on both ends proves the
 //!      full scan would decide identically;
 //!    * **fallback conditions**: a point whose certificate is
-//!      inconclusive (its margin to the `SINR = β` boundary is inside
-//!      the interval width), any tile containing a non-finite query
+//!      inconclusive at the sub-tile *and* the tile level (its margin to
+//!      the `SINR = β` boundary is inside the interval width), any tile containing a non-finite query
 //!      point, and any tile where pruning cannot drop ≳ 1/8 of the
 //!      stations re-run the backend's own serial kernel, point by
 //!      point — so tiled answers are **bit-identical** to the serial
@@ -456,9 +460,10 @@ pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
 /// inputs — **one knob, not two**. Coarse enough that the shared atomic
 /// counter is cold and a tile's Morton bounding box is worth pruning
 /// against, fine enough that skewed workloads rebalance across threads
-/// and tiles stay spatially tight. Bench-tunable per call through
+/// and tiles stay spatially tight. Tunable per call through
 /// [`crate::tile::TileConfig::tile_points`] (this constant is its
-/// default); the `engine_batch` bench sweeps it.
+/// default): the tiled-differential suites drive other sizes through
+/// it, while the `engine_batch` bench measures only this default.
 pub const BATCH_TILE: usize = 512;
 
 /// Minimum inputs per thread for the static split of
@@ -1125,7 +1130,10 @@ impl SinrEvaluator {
     ///
     /// Pass a certificate of a **containing** cell as `parent` to
     /// re-envelope only its surviving candidates (the refinement
-    /// contract; see [`crate::tile`]).
+    /// contract; see [`crate::tile`]). The envelopes run on the scalar
+    /// [`SimdKernel::Portable`] pass; [`SimdScan`](crate::simd::SimdScan)
+    /// and [`VoronoiAssisted`] run the same certificate on their pinned
+    /// kernel — bit-identical, only faster.
     ///
     /// # Panics
     ///
@@ -1137,7 +1145,7 @@ impl SinrEvaluator {
         parent: Option<&crate::tile::CellCert>,
     ) -> crate::tile::CellCert {
         self.assert_fresh();
-        crate::tile::cell_certificate(self, min, max, parent)
+        crate::tile::cell_certificate(self, SimdKernel::Portable, min, max, parent)
     }
 
     /// Certified batched location against an ancestor cell certificate
@@ -2099,8 +2107,16 @@ impl QueryEngine for VoronoiAssisted {
         // walk) selects; certified Silent fails every station's test
         // including whichever one the tree walk picks. The cell
         // certificates' envelopes are per-station and power-aware, so
-        // this holds for every power assignment.
-        Some(self.eval.sinr_bounds_cell(min, max, parent))
+        // this holds for every power assignment. The pinned kernel runs
+        // the envelope pass (bit-identical on every kernel).
+        self.eval.assert_fresh();
+        Some(crate::tile::cell_certificate(
+            &self.eval,
+            self.kernel,
+            min,
+            max,
+            parent,
+        ))
     }
 
     fn locate_in_cell(

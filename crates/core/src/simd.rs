@@ -52,6 +52,26 @@
 //! AVX-512 and AVX2 paths are compiled behind `#[target_feature]` and
 //! only ever entered after the runtime check.
 //!
+//! ## Envelope pruning
+//!
+//! The same kernels also run the tiled executor's certified candidate
+//! pruning (`prune_to_box`, shared by its tile and sub-tile levels; see
+//! [`crate::tile`]): a branch-free `α = 2` envelope pass whose per-lane
+//! operation sequence is exactly that of
+//! [`crate::bounds::energy_envelope`] — so every kernel yields the
+//! scalar envelopes bit for bit — then a keep bitmap and residual sums
+//! over a fixed set of accumulators, identical on every kernel. The
+//! cell certificates of [`crate::tile`] run the same envelope pass.
+//!
+//! Each x86 width pays for its intrinsics. With the kernel pinned on a
+//! 2-vCPU AVX-512 VM (4096 stations), the envelope pass costs about
+//! 1.7 ns per station on AVX-512, 1.8 on AVX2, 2.9 on SSE2 and 7–10 on
+//! the scalar reference; a branch-free compare-select scalar loop
+//! compiled under `#[target_feature]` did not autovectorize below
+//! ~4.3 ns. On the sparse 16384-point tiled batch, swapping each
+//! kernel's prune pass for the scalar one costs AVX2 ~1.55× and SSE2
+//! ~1.5× in ns per point.
+//!
 //! This module is one of the two audited `unsafe` corners of the
 //! workspace (`std::arch` intrinsics and the raw loads they require);
 //! the other is the disjoint-slot output writer of the work-stealing
@@ -80,12 +100,14 @@
 //! ```
 #![allow(unsafe_code)]
 
+use crate::bounds::{dist2_range_to_box, energy_envelope};
 use crate::engine::{
     batch_map, GeneralAlpha, InverseSquare, LocateError, Located, PathLoss, QueryEngine, Scan,
     SinrEvaluator, SyncError,
 };
 use crate::network::{Network, NetworkDelta};
 use crate::station::StationId;
+use crate::tile::BOUND_MARGIN;
 use sinr_algebra::KahanSum;
 use sinr_geometry::Point;
 
@@ -402,12 +424,601 @@ pub(crate) fn scan_slices(
     }
 }
 
+// ---------------------------------------------------------------------
+// Certified envelope pruning
+// ---------------------------------------------------------------------
+
+/// Accumulators of the prune pass's residual sums: pruned station `j`
+/// (by position in the input columns) adds into accumulator
+/// `j mod PRUNE_ACCS`, in ascending `j`, and the accumulators are
+/// reduced pairwise in a fixed order — the same on every kernel, so the
+/// residual interval is bit-identical whichever kernel ran the pass.
+const PRUNE_ACCS: usize = 8;
+
+/// An axis-aligned query box `[min_x, max_x] × [min_y, max_y]` with
+/// finite corners.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryBox {
+    pub(crate) min_x: f64,
+    pub(crate) min_y: f64,
+    pub(crate) max_x: f64,
+    pub(crate) max_y: f64,
+}
+
+/// Gathered SoA candidate columns: positions, powers and network
+/// station indices, ascending by index (the argmax and nearest-station
+/// first-index tie rules ride on the order).
+#[derive(Debug, Default)]
+pub(crate) struct Columns {
+    pub(crate) xs: Vec<f64>,
+    pub(crate) ys: Vec<f64>,
+    pub(crate) ws: Vec<f64>,
+    pub(crate) idx: Vec<u32>,
+}
+
+impl Columns {
+    /// Number of gathered stations.
+    pub(crate) fn len(&self) -> usize {
+        self.idx.len()
+    }
+}
+
+/// Work buffers of [`prune_to_box`] (per-station envelope columns and
+/// the keep bitmap), reused across calls.
+#[derive(Debug, Default)]
+pub(crate) struct PruneScratch {
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    keep: Vec<u64>,
+}
+
+/// Certified candidate pruning of SoA station columns over a query box
+/// — the one routine behind both levels of the tiled executor
+/// ([`crate::tile`]): the tile-level pass over the whole network and
+/// the sub-tile re-prune of a tile's candidate list.
+///
+/// 1. **Envelope pass**: each station's certified energy envelope
+///    `[lo, hi]` over the box — for `α = 2` a branch-free vector pass
+///    on `kernel` that performs exactly the IEEE operation sequence of
+///    [`crate::bounds::dist2_range_to_box`] followed by
+///    [`crate::bounds::energy_envelope`] (widened by
+///    [`crate::tile::BOUND_MARGIN`]), so the envelopes are
+///    bit-identical to the scalar ones; `α ≠ 2` keeps the scalar
+///    `powf` envelope. `M` is the best envelope bottom.
+/// 2. **Keep pass**: stations with `hi ≥ M` are kept as a bitmap; the
+///    rest are provably below the `M` station everywhere in the box and
+///    their envelope ends are summed into the residual interval over
+///    [`PRUNE_ACCS`] accumulators.
+/// 3. **Gather**: the kept stations' columns (and their network
+///    indices — `idx[j]`, or `j` itself when `idx` is `None`) are copied
+///    into `out` in ascending order by walking the bitmap's set bits.
+///
+/// Returns the residual interval `(L, U)`: the sums of the pruned
+/// stations' envelope bottoms and tops. Every kernel yields the same
+/// envelopes, kept set and residual bits. `kernel` must be supported on
+/// the current machine.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn prune_to_box(
+    kernel: SimdKernel,
+    alpha: f64,
+    b: QueryBox,
+    xs: &[f64],
+    ys: &[f64],
+    ws: &[f64],
+    idx: Option<&[u32]>,
+    scratch: &mut PruneScratch,
+    out: &mut Columns,
+) -> (f64, f64) {
+    let n = xs.len();
+    assert!(
+        ys.len() == n && ws.len() == n && idx.is_none_or(|m| m.len() == n),
+        "prune_to_box: column lengths differ"
+    );
+    scratch.lb.resize(n, 0.0);
+    scratch.ub.resize(n, 0.0);
+    let m = envelopes(
+        kernel,
+        alpha,
+        b,
+        xs,
+        ys,
+        ws,
+        &mut scratch.lb,
+        &mut scratch.ub,
+    );
+    scratch.keep.clear();
+    scratch.keep.resize(n.div_ceil(64), 0);
+    let (acc_lo, acc_hi) = keep_pass(kernel, m, &scratch.lb, &scratch.ub, &mut scratch.keep);
+    out.xs.clear();
+    out.ys.clear();
+    out.ws.clear();
+    out.idx.clear();
+    for (word_at, &word) in scratch.keep.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let j = word_at * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            out.xs.push(xs[j]);
+            out.ys.push(ys[j]);
+            out.ws.push(ws[j]);
+            out.idx.push(idx.map_or(j as u32, |m| m[j]));
+        }
+    }
+    (reduce_accs(&acc_lo), reduce_accs(&acc_hi))
+}
+
+/// The fixed pairwise reduction of the residual accumulators.
+fn reduce_accs(a: &[f64; PRUNE_ACCS]) -> f64 {
+    ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+}
+
+/// Envelope pass dispatch: fills `lb`/`ub` with every station's
+/// certified energy envelope over `b` — bit-identical to
+/// [`crate::bounds::dist2_range_to_box`] followed by
+/// [`crate::bounds::energy_envelope`] widened by
+/// [`crate::tile::BOUND_MARGIN`], on every kernel — and returns
+/// `M = max lb`. Shared by [`prune_to_box`] and the cell certificates
+/// of [`crate::tile`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn envelopes(
+    kernel: SimdKernel,
+    alpha: f64,
+    b: QueryBox,
+    xs: &[f64],
+    ys: &[f64],
+    ws: &[f64],
+    lb: &mut [f64],
+    ub: &mut [f64],
+) -> f64 {
+    if alpha != 2.0 {
+        return envelopes_scalar(
+            GeneralAlpha::new(alpha),
+            b,
+            xs,
+            ys,
+            ws,
+            lb,
+            ub,
+            0,
+            f64::NEG_INFINITY,
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    match kernel {
+        // SAFETY: support was verified at kernel selection time.
+        SimdKernel::Avx512 => return unsafe { x86::envelopes_avx512(b, xs, ys, ws, lb, ub) },
+        // SAFETY: as above.
+        SimdKernel::Avx2 => return unsafe { x86::envelopes_avx2(b, xs, ys, ws, lb, ub) },
+        SimdKernel::Sse2 => return x86::envelopes_sse2(b, xs, ys, ws, lb, ub),
+        SimdKernel::Portable => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = kernel;
+    envelopes_scalar(InverseSquare, b, xs, ys, ws, lb, ub, 0, f64::NEG_INFINITY)
+}
+
+/// The scalar envelope pass over `start..n` — the reference the vector
+/// passes reproduce bit for bit, and their `n mod lanes` tail. Returns
+/// the running maximum of `lb`, seeded with `m`.
+#[allow(clippy::too_many_arguments)]
+fn envelopes_scalar<K: PathLoss>(
+    k: K,
+    b: QueryBox,
+    xs: &[f64],
+    ys: &[f64],
+    ws: &[f64],
+    lb: &mut [f64],
+    ub: &mut [f64],
+    start: usize,
+    mut m: f64,
+) -> f64 {
+    for j in start..xs.len() {
+        let (d_min, d_max) = dist2_range_to_box(b.min_x, b.min_y, b.max_x, b.max_y, xs[j], ys[j]);
+        let (lo, hi) = energy_envelope(k, ws[j], d_min, d_max, BOUND_MARGIN);
+        lb[j] = lo;
+        ub[j] = hi;
+        if lo > m {
+            m = lo;
+        }
+    }
+    m
+}
+
+/// Keep pass dispatch: sets the keep bits of stations with `ub ≥ m`
+/// and returns the per-accumulator residual sums of the rest.
+fn keep_pass(
+    kernel: SimdKernel,
+    m: f64,
+    lb: &[f64],
+    ub: &[f64],
+    keep: &mut [u64],
+) -> ([f64; PRUNE_ACCS], [f64; PRUNE_ACCS]) {
+    #[cfg(target_arch = "x86_64")]
+    match kernel {
+        // SAFETY: support was verified at kernel selection time.
+        SimdKernel::Avx512 => return unsafe { x86::keep_avx512(m, lb, ub, keep) },
+        // SAFETY: as above.
+        SimdKernel::Avx2 => return unsafe { x86::keep_avx2(m, lb, ub, keep) },
+        SimdKernel::Sse2 => return x86::keep_sse2(m, lb, ub, keep),
+        SimdKernel::Portable => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = kernel;
+    let mut acc_lo = [0.0; PRUNE_ACCS];
+    let mut acc_hi = [0.0; PRUNE_ACCS];
+    keep_scalar(m, lb, ub, keep, 0, &mut acc_lo, &mut acc_hi);
+    (acc_lo, acc_hi)
+}
+
+/// The scalar keep pass over `start..n` (`start` a multiple of
+/// [`PRUNE_ACCS`]) — the reference, and the vector passes' tail.
+fn keep_scalar(
+    m: f64,
+    lb: &[f64],
+    ub: &[f64],
+    keep: &mut [u64],
+    start: usize,
+    acc_lo: &mut [f64; PRUNE_ACCS],
+    acc_hi: &mut [f64; PRUNE_ACCS],
+) {
+    for j in start..ub.len() {
+        if ub[j] >= m {
+            keep[j / 64] |= 1 << (j % 64);
+        } else {
+            acc_lo[j % PRUNE_ACCS] += lb[j];
+            acc_hi[j % PRUNE_ACCS] += ub[j];
+        }
+    }
+}
+
 /// The x86-64 intrinsic kernels (α = 2 only: attenuation is one divide).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::LaneState;
+    use super::{envelopes_scalar, keep_scalar, LaneState, QueryBox, PRUNE_ACCS};
+    use crate::engine::InverseSquare;
+    use crate::tile::BOUND_MARGIN;
     use sinr_geometry::Point;
     use std::arch::x86_64::*;
+
+    /// The residual accumulators a keep pass returns.
+    type Accs = ([f64; PRUNE_ACCS], [f64; PRUNE_ACCS]);
+
+    /// Bounds shared by the vector envelope and keep passes: the
+    /// unchecked loads and stores below stay inside these lengths.
+    fn check_columns(xs: &[f64], ys: &[f64], ws: &[f64], lb: &[f64], ub: &[f64]) {
+        let n = xs.len();
+        assert!(ys.len() == n && ws.len() == n && lb.len() >= n && ub.len() >= n);
+    }
+
+    /// 8-lane AVX-512F envelope pass over the multiple-of-8 prefix, the
+    /// scalar reference finishing the tail. Every lane performs the
+    /// operation sequence of `dist2_range_to_box` + `energy_envelope`
+    /// without FMA: `max` of the same operands (equal up to the sign of
+    /// zero, which the squares erase — no NaN arises from finite
+    /// inputs), `RN(RN(a²) + RN(b²))`, then `RN(RN(RN(1/d²)·ψ)·(1∓m))`,
+    /// with the `d² > 0` branch as a blend against `∞`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified `avx512f` at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn envelopes_avx512(
+        b: QueryBox,
+        xs: &[f64],
+        ys: &[f64],
+        ws: &[f64],
+        lb: &mut [f64],
+        ub: &mut [f64],
+    ) -> f64 {
+        check_columns(xs, ys, ws, lb, ub);
+        let n = xs.len();
+        let prefix = n - n % 8;
+        let mut m = f64::NEG_INFINITY;
+        // SAFETY: every access is at `j..j + 8` with `j + 8 ≤ prefix ≤ n`
+        // and all five columns hold at least `n` values.
+        unsafe {
+            let min_x = _mm512_set1_pd(b.min_x);
+            let min_y = _mm512_set1_pd(b.min_y);
+            let max_x = _mm512_set1_pd(b.max_x);
+            let max_y = _mm512_set1_pd(b.max_y);
+            let zero = _mm512_setzero_pd();
+            let one = _mm512_set1_pd(1.0);
+            let inf = _mm512_set1_pd(f64::INFINITY);
+            let lo_scale = _mm512_set1_pd(1.0 - BOUND_MARGIN);
+            let hi_scale = _mm512_set1_pd(1.0 + BOUND_MARGIN);
+            let mut best = _mm512_set1_pd(f64::NEG_INFINITY);
+            let mut j = 0usize;
+            while j < prefix {
+                let x = _mm512_loadu_pd(xs.as_ptr().add(j));
+                let y = _mm512_loadu_pd(ys.as_ptr().add(j));
+                let w = _mm512_loadu_pd(ws.as_ptr().add(j));
+                let dx_out = _mm512_max_pd(
+                    _mm512_max_pd(_mm512_sub_pd(min_x, x), _mm512_sub_pd(x, max_x)),
+                    zero,
+                );
+                let dy_out = _mm512_max_pd(
+                    _mm512_max_pd(_mm512_sub_pd(min_y, y), _mm512_sub_pd(y, max_y)),
+                    zero,
+                );
+                let dx_far = _mm512_max_pd(_mm512_sub_pd(x, min_x), _mm512_sub_pd(max_x, x));
+                let dy_far = _mm512_max_pd(_mm512_sub_pd(y, min_y), _mm512_sub_pd(max_y, y));
+                let d_min =
+                    _mm512_add_pd(_mm512_mul_pd(dx_out, dx_out), _mm512_mul_pd(dy_out, dy_out));
+                let d_max =
+                    _mm512_add_pd(_mm512_mul_pd(dx_far, dx_far), _mm512_mul_pd(dy_far, dy_far));
+                let lo = _mm512_mul_pd(_mm512_mul_pd(_mm512_div_pd(one, d_max), w), lo_scale);
+                let hi = _mm512_mul_pd(_mm512_mul_pd(_mm512_div_pd(one, d_min), w), hi_scale);
+                let lo =
+                    _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(d_max, zero), inf, lo);
+                let hi =
+                    _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(d_min, zero), inf, hi);
+                _mm512_storeu_pd(lb.as_mut_ptr().add(j), lo);
+                _mm512_storeu_pd(ub.as_mut_ptr().add(j), hi);
+                best = _mm512_max_pd(best, lo);
+                j += 8;
+            }
+            let mut lanes = [0.0f64; 8];
+            _mm512_storeu_pd(lanes.as_mut_ptr(), best);
+            for v in lanes {
+                if v > m {
+                    m = v;
+                }
+            }
+        }
+        envelopes_scalar(InverseSquare, b, xs, ys, ws, lb, ub, prefix, m)
+    }
+
+    /// 4-lane AVX2 envelope pass: [`envelopes_avx512`] at half width.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified `avx2` at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn envelopes_avx2(
+        b: QueryBox,
+        xs: &[f64],
+        ys: &[f64],
+        ws: &[f64],
+        lb: &mut [f64],
+        ub: &mut [f64],
+    ) -> f64 {
+        check_columns(xs, ys, ws, lb, ub);
+        let n = xs.len();
+        let prefix = n - n % 4;
+        let mut m = f64::NEG_INFINITY;
+        // SAFETY: every access is at `j..j + 4` with `j + 4 ≤ prefix ≤ n`.
+        unsafe {
+            let min_x = _mm256_set1_pd(b.min_x);
+            let min_y = _mm256_set1_pd(b.min_y);
+            let max_x = _mm256_set1_pd(b.max_x);
+            let max_y = _mm256_set1_pd(b.max_y);
+            let zero = _mm256_setzero_pd();
+            let one = _mm256_set1_pd(1.0);
+            let inf = _mm256_set1_pd(f64::INFINITY);
+            let lo_scale = _mm256_set1_pd(1.0 - BOUND_MARGIN);
+            let hi_scale = _mm256_set1_pd(1.0 + BOUND_MARGIN);
+            let mut best = _mm256_set1_pd(f64::NEG_INFINITY);
+            let mut j = 0usize;
+            while j < prefix {
+                let x = _mm256_loadu_pd(xs.as_ptr().add(j));
+                let y = _mm256_loadu_pd(ys.as_ptr().add(j));
+                let w = _mm256_loadu_pd(ws.as_ptr().add(j));
+                let dx_out = _mm256_max_pd(
+                    _mm256_max_pd(_mm256_sub_pd(min_x, x), _mm256_sub_pd(x, max_x)),
+                    zero,
+                );
+                let dy_out = _mm256_max_pd(
+                    _mm256_max_pd(_mm256_sub_pd(min_y, y), _mm256_sub_pd(y, max_y)),
+                    zero,
+                );
+                let dx_far = _mm256_max_pd(_mm256_sub_pd(x, min_x), _mm256_sub_pd(max_x, x));
+                let dy_far = _mm256_max_pd(_mm256_sub_pd(y, min_y), _mm256_sub_pd(max_y, y));
+                let d_min =
+                    _mm256_add_pd(_mm256_mul_pd(dx_out, dx_out), _mm256_mul_pd(dy_out, dy_out));
+                let d_max =
+                    _mm256_add_pd(_mm256_mul_pd(dx_far, dx_far), _mm256_mul_pd(dy_far, dy_far));
+                let lo = _mm256_mul_pd(_mm256_mul_pd(_mm256_div_pd(one, d_max), w), lo_scale);
+                let hi = _mm256_mul_pd(_mm256_mul_pd(_mm256_div_pd(one, d_min), w), hi_scale);
+                let lo = _mm256_blendv_pd(inf, lo, _mm256_cmp_pd::<_CMP_GT_OQ>(d_max, zero));
+                let hi = _mm256_blendv_pd(inf, hi, _mm256_cmp_pd::<_CMP_GT_OQ>(d_min, zero));
+                _mm256_storeu_pd(lb.as_mut_ptr().add(j), lo);
+                _mm256_storeu_pd(ub.as_mut_ptr().add(j), hi);
+                best = _mm256_max_pd(best, lo);
+                j += 4;
+            }
+            let mut lanes = [0.0f64; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), best);
+            for v in lanes {
+                if v > m {
+                    m = v;
+                }
+            }
+        }
+        envelopes_scalar(InverseSquare, b, xs, ys, ws, lb, ub, prefix, m)
+    }
+
+    /// 2-lane SSE2 envelope pass (the x86-64 baseline): blends from
+    /// `and`/`andnot`/`or`.
+    pub(super) fn envelopes_sse2(
+        b: QueryBox,
+        xs: &[f64],
+        ys: &[f64],
+        ws: &[f64],
+        lb: &mut [f64],
+        ub: &mut [f64],
+    ) -> f64 {
+        check_columns(xs, ys, ws, lb, ub);
+        let n = xs.len();
+        let prefix = n - n % 2;
+        let mut m = f64::NEG_INFINITY;
+        // SAFETY: SSE2 is part of the x86-64 baseline; every access is
+        // at `j..j + 2` with `j + 2 ≤ prefix ≤ n`.
+        unsafe {
+            let blend = |old: __m128d, new: __m128d, mask: __m128d| {
+                _mm_or_pd(_mm_and_pd(mask, new), _mm_andnot_pd(mask, old))
+            };
+            let min_x = _mm_set1_pd(b.min_x);
+            let min_y = _mm_set1_pd(b.min_y);
+            let max_x = _mm_set1_pd(b.max_x);
+            let max_y = _mm_set1_pd(b.max_y);
+            let zero = _mm_setzero_pd();
+            let one = _mm_set1_pd(1.0);
+            let inf = _mm_set1_pd(f64::INFINITY);
+            let lo_scale = _mm_set1_pd(1.0 - BOUND_MARGIN);
+            let hi_scale = _mm_set1_pd(1.0 + BOUND_MARGIN);
+            let mut best = _mm_set1_pd(f64::NEG_INFINITY);
+            let mut j = 0usize;
+            while j < prefix {
+                let x = _mm_loadu_pd(xs.as_ptr().add(j));
+                let y = _mm_loadu_pd(ys.as_ptr().add(j));
+                let w = _mm_loadu_pd(ws.as_ptr().add(j));
+                let dx_out =
+                    _mm_max_pd(_mm_max_pd(_mm_sub_pd(min_x, x), _mm_sub_pd(x, max_x)), zero);
+                let dy_out =
+                    _mm_max_pd(_mm_max_pd(_mm_sub_pd(min_y, y), _mm_sub_pd(y, max_y)), zero);
+                let dx_far = _mm_max_pd(_mm_sub_pd(x, min_x), _mm_sub_pd(max_x, x));
+                let dy_far = _mm_max_pd(_mm_sub_pd(y, min_y), _mm_sub_pd(max_y, y));
+                let d_min = _mm_add_pd(_mm_mul_pd(dx_out, dx_out), _mm_mul_pd(dy_out, dy_out));
+                let d_max = _mm_add_pd(_mm_mul_pd(dx_far, dx_far), _mm_mul_pd(dy_far, dy_far));
+                let lo = _mm_mul_pd(_mm_mul_pd(_mm_div_pd(one, d_max), w), lo_scale);
+                let hi = _mm_mul_pd(_mm_mul_pd(_mm_div_pd(one, d_min), w), hi_scale);
+                let lo = blend(inf, lo, _mm_cmpgt_pd(d_max, zero));
+                let hi = blend(inf, hi, _mm_cmpgt_pd(d_min, zero));
+                _mm_storeu_pd(lb.as_mut_ptr().add(j), lo);
+                _mm_storeu_pd(ub.as_mut_ptr().add(j), hi);
+                best = _mm_max_pd(best, lo);
+                j += 2;
+            }
+            let mut lanes = [0.0f64; 2];
+            _mm_storeu_pd(lanes.as_mut_ptr(), best);
+            for v in lanes {
+                if v > m {
+                    m = v;
+                }
+            }
+        }
+        envelopes_scalar(InverseSquare, b, xs, ys, ws, lb, ub, prefix, m)
+    }
+
+    /// Bounds of the vector keep passes (lengths and bitmap size).
+    fn check_keep(lb: &[f64], ub: &[f64], keep: &[u64]) {
+        assert!(lb.len() == ub.len() && keep.len() * 64 >= ub.len());
+    }
+
+    /// AVX-512F keep pass over blocks of [`PRUNE_ACCS`] stations: one
+    /// compare mask per block becomes eight keep bits, and the pruned
+    /// lanes add into the lane-`j mod 8` accumulators (masked adds, so
+    /// kept lanes are skipped exactly as in the scalar reference).
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified `avx512f` at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn keep_avx512(m: f64, lb: &[f64], ub: &[f64], keep: &mut [u64]) -> Accs {
+        check_keep(lb, ub, keep);
+        let n = ub.len();
+        let prefix = n - n % PRUNE_ACCS;
+        let mut acc_lo = [0.0; PRUNE_ACCS];
+        let mut acc_hi = [0.0; PRUNE_ACCS];
+        // SAFETY: every access is at `j..j + 8` with `j + 8 ≤ prefix ≤ n`.
+        unsafe {
+            let mv = _mm512_set1_pd(m);
+            let mut lo_sum = _mm512_setzero_pd();
+            let mut hi_sum = _mm512_setzero_pd();
+            let mut j = 0usize;
+            while j < prefix {
+                let lo = _mm512_loadu_pd(lb.as_ptr().add(j));
+                let hi = _mm512_loadu_pd(ub.as_ptr().add(j));
+                let kept = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(hi, mv);
+                lo_sum = _mm512_mask_add_pd(lo_sum, !kept, lo_sum, lo);
+                hi_sum = _mm512_mask_add_pd(hi_sum, !kept, hi_sum, hi);
+                keep[j / 64] |= u64::from(kept) << (j % 64);
+                j += 8;
+            }
+            _mm512_storeu_pd(acc_lo.as_mut_ptr(), lo_sum);
+            _mm512_storeu_pd(acc_hi.as_mut_ptr(), hi_sum);
+        }
+        keep_scalar(m, lb, ub, keep, prefix, &mut acc_lo, &mut acc_hi);
+        (acc_lo, acc_hi)
+    }
+
+    /// AVX2 keep pass: two 4-lane halves per block; pruned lanes add
+    /// `andnot(kept, v)` — `v` where pruned, `+0.0` (an exact no-op on
+    /// the non-negative sums) where kept.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified `avx2` at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn keep_avx2(m: f64, lb: &[f64], ub: &[f64], keep: &mut [u64]) -> Accs {
+        check_keep(lb, ub, keep);
+        let n = ub.len();
+        let prefix = n - n % PRUNE_ACCS;
+        let mut acc_lo = [0.0; PRUNE_ACCS];
+        let mut acc_hi = [0.0; PRUNE_ACCS];
+        // SAFETY: every access is at `j..j + 8` with `j + 8 ≤ prefix ≤ n`.
+        unsafe {
+            let mv = _mm256_set1_pd(m);
+            let mut lo_sum = [_mm256_setzero_pd(); 2];
+            let mut hi_sum = [_mm256_setzero_pd(); 2];
+            let mut j = 0usize;
+            while j < prefix {
+                let mut bits = 0u64;
+                for h in 0..2 {
+                    let lo = _mm256_loadu_pd(lb.as_ptr().add(j + 4 * h));
+                    let hi = _mm256_loadu_pd(ub.as_ptr().add(j + 4 * h));
+                    let kept = _mm256_cmp_pd::<_CMP_GE_OQ>(hi, mv);
+                    lo_sum[h] = _mm256_add_pd(lo_sum[h], _mm256_andnot_pd(kept, lo));
+                    hi_sum[h] = _mm256_add_pd(hi_sum[h], _mm256_andnot_pd(kept, hi));
+                    bits |= (_mm256_movemask_pd(kept) as u64) << (4 * h);
+                }
+                keep[j / 64] |= bits << (j % 64);
+                j += 8;
+            }
+            for h in 0..2 {
+                _mm256_storeu_pd(acc_lo.as_mut_ptr().add(4 * h), lo_sum[h]);
+                _mm256_storeu_pd(acc_hi.as_mut_ptr().add(4 * h), hi_sum[h]);
+            }
+        }
+        keep_scalar(m, lb, ub, keep, prefix, &mut acc_lo, &mut acc_hi);
+        (acc_lo, acc_hi)
+    }
+
+    /// SSE2 keep pass: four 2-lane quarters per block, as [`keep_avx2`].
+    pub(super) fn keep_sse2(m: f64, lb: &[f64], ub: &[f64], keep: &mut [u64]) -> Accs {
+        check_keep(lb, ub, keep);
+        let n = ub.len();
+        let prefix = n - n % PRUNE_ACCS;
+        let mut acc_lo = [0.0; PRUNE_ACCS];
+        let mut acc_hi = [0.0; PRUNE_ACCS];
+        // SAFETY: SSE2 is part of the x86-64 baseline; every access is
+        // at `j..j + 8` with `j + 8 ≤ prefix ≤ n`.
+        unsafe {
+            let mv = _mm_set1_pd(m);
+            let mut lo_sum = [_mm_setzero_pd(); 4];
+            let mut hi_sum = [_mm_setzero_pd(); 4];
+            let mut j = 0usize;
+            while j < prefix {
+                let mut bits = 0u64;
+                for q in 0..4 {
+                    let lo = _mm_loadu_pd(lb.as_ptr().add(j + 2 * q));
+                    let hi = _mm_loadu_pd(ub.as_ptr().add(j + 2 * q));
+                    let kept = _mm_cmpge_pd(hi, mv);
+                    lo_sum[q] = _mm_add_pd(lo_sum[q], _mm_andnot_pd(kept, lo));
+                    hi_sum[q] = _mm_add_pd(hi_sum[q], _mm_andnot_pd(kept, hi));
+                    bits |= (_mm_movemask_pd(kept) as u64) << (2 * q);
+                }
+                keep[j / 64] |= bits << (j % 64);
+                j += 8;
+            }
+            for q in 0..4 {
+                _mm_storeu_pd(acc_lo.as_mut_ptr().add(2 * q), lo_sum[q]);
+                _mm_storeu_pd(acc_hi.as_mut_ptr().add(2 * q), hi_sum[q]);
+            }
+        }
+        keep_scalar(m, lb, ub, keep, prefix, &mut acc_lo, &mut acc_hi);
+        (acc_lo, acc_hi)
+    }
 
     /// 8-lane AVX-512F scan over the multiple-of-8 prefix.
     ///
@@ -768,8 +1379,16 @@ impl QueryEngine for SimdScan {
     ) -> Option<crate::tile::CellCert> {
         // The intrinsics kernels' summation-order differences are
         // inside `TOTAL_MARGIN`, so the generic certificate covers this
-        // backend's lane-reassociated scans too.
-        Some(self.eval.sinr_bounds_cell(min, max, parent))
+        // backend's lane-reassociated scans too; the pinned kernel runs
+        // its envelope pass (bit-identical on every kernel).
+        self.eval.assert_fresh();
+        Some(crate::tile::cell_certificate(
+            &self.eval,
+            self.kernel,
+            min,
+            max,
+            parent,
+        ))
     }
 
     fn locate_in_cell(
@@ -1074,6 +1693,143 @@ mod tests {
                     assert!(got.is_infinite());
                 } else {
                     assert!((got - expected).abs() <= 1e-9 * (1.0 + expected.abs()));
+                }
+            }
+        }
+    }
+
+    /// The scalar reference of [`prune_to_box`]: per-station
+    /// `dist2_range_to_box` + `energy_envelope`, `M = max lo`, keep
+    /// `hi ≥ M`, pruned ends summed into accumulator `j mod 8` and
+    /// reduced pairwise. Returns `(lb, ub, kept positions, L, U)`.
+    #[allow(clippy::type_complexity)]
+    fn reference_prune(
+        alpha: f64,
+        b: QueryBox,
+        xs: &[f64],
+        ys: &[f64],
+        ws: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, Vec<usize>, f64, f64) {
+        let (mut lb, mut ub) = (Vec::new(), Vec::new());
+        for j in 0..xs.len() {
+            let (d_min, d_max) =
+                dist2_range_to_box(b.min_x, b.min_y, b.max_x, b.max_y, xs[j], ys[j]);
+            let (lo, hi) = if alpha == 2.0 {
+                energy_envelope(InverseSquare, ws[j], d_min, d_max, BOUND_MARGIN)
+            } else {
+                energy_envelope(GeneralAlpha::new(alpha), ws[j], d_min, d_max, BOUND_MARGIN)
+            };
+            lb.push(lo);
+            ub.push(hi);
+        }
+        let m = lb
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &lo| if lo > m { lo } else { m });
+        let kept: Vec<usize> = (0..xs.len()).filter(|&j| ub[j] >= m).collect();
+        let mut acc_lo = [0.0; 8];
+        let mut acc_hi = [0.0; 8];
+        for j in (0..xs.len()).filter(|&j| ub[j] < m) {
+            acc_lo[j % 8] += lb[j];
+            acc_hi[j % 8] += ub[j];
+        }
+        let reduce =
+            |a: [f64; 8]| ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+        (lb, ub, kept, reduce(acc_lo), reduce(acc_hi))
+    }
+
+    /// Every kernel's prune pass reproduces the scalar reference bit for
+    /// bit — envelopes, kept indices (through an index map), gathered
+    /// columns and residual sums — on random boxes, with stations
+    /// strictly inside and exactly on the box edge (`∞` tops), a
+    /// zero-area box on a station (`∞` bottom, so `M = ∞`), non-uniform
+    /// powers, every tail length, and `α = 3` (the scalar `powf` pass).
+    #[test]
+    fn prune_pass_matches_scalar_envelope_reference_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        let mut scratch = PruneScratch::default();
+        let mut out = Columns::default();
+        for case in 0..200 {
+            let n = if case % 10 == 9 {
+                1000 + case
+            } else {
+                case % 41
+            };
+            let alpha = if case % 7 == 3 { 3.0 } else { 2.0 };
+            let mut xs: Vec<f64> = (0..n).map(|_| rng.gen_range(-20.0..20.0)).collect();
+            let mut ys: Vec<f64> = (0..n).map(|_| rng.gen_range(-20.0..20.0)).collect();
+            let ws: Vec<f64> = (0..n).map(|_| rng.gen_range(0.25..4.0)).collect();
+            let cx = rng.gen_range(-15.0..15.0);
+            let cy = rng.gen_range(-15.0..15.0);
+            let (hw, hh) = (rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0));
+            let mut b = QueryBox {
+                min_x: cx - hw,
+                min_y: cy - hh,
+                max_x: cx + hw,
+                max_y: cy + hh,
+            };
+            if n > 2 {
+                // One station on the left edge, one strictly inside.
+                xs[1] = b.min_x;
+                ys[1] = cy;
+                xs[2] = cx;
+                ys[2] = cy;
+            }
+            if n > 0 && case % 5 == 4 {
+                // A zero-area box on a station.
+                let s = case % n;
+                b = QueryBox {
+                    min_x: xs[s],
+                    min_y: ys[s],
+                    max_x: xs[s],
+                    max_y: ys[s],
+                };
+            }
+            let map: Vec<u32> = (0..n as u32).map(|j| 3 * j + 7).collect();
+            let (lb, ub, kept, r_lo, r_hi) = reference_prune(alpha, b, &xs, &ys, &ws);
+            if n > 2 && case % 5 != 4 {
+                assert_eq!(ub[2], f64::INFINITY, "inside station must have an ∞ top");
+                assert!(kept.contains(&1) && kept.contains(&2));
+            }
+            for kernel in supported_kernels() {
+                for idx in [None, Some(&map[..])] {
+                    let (lo, hi) =
+                        prune_to_box(kernel, alpha, b, &xs, &ys, &ws, idx, &mut scratch, &mut out);
+                    let name = kernel.name();
+                    for j in 0..n {
+                        assert_eq!(
+                            scratch.lb[j].to_bits(),
+                            lb[j].to_bits(),
+                            "{name} lb[{j}] case {case}"
+                        );
+                        assert_eq!(
+                            scratch.ub[j].to_bits(),
+                            ub[j].to_bits(),
+                            "{name} ub[{j}] case {case}"
+                        );
+                    }
+                    let want: Vec<u32> = kept
+                        .iter()
+                        .map(|&j| idx.map_or(j as u32, |m| m[j]))
+                        .collect();
+                    assert_eq!(out.idx, want, "{name} kept set, case {case}");
+                    for (c, &j) in kept.iter().enumerate() {
+                        assert_eq!(
+                            (out.xs[c], out.ys[c], out.ws[c]),
+                            (xs[j], ys[j], ws[j]),
+                            "{name} gathered columns, case {case}"
+                        );
+                    }
+                    assert_eq!(
+                        lo.to_bits(),
+                        r_lo.to_bits(),
+                        "{name} residual lo, case {case}"
+                    );
+                    assert_eq!(
+                        hi.to_bits(),
+                        r_hi.to_bits(),
+                        "{name} residual hi, case {case}"
+                    );
                 }
             }
         }

@@ -29,16 +29,32 @@
 //!    dropped from the per-point scan. Their interference is not
 //!    dropped — it is carried as a certified residual interval
 //!    `[L_R, U_R]` (the sums of the pruned envelopes).
-//! 3. **Certified per-point decision** — each point scans only the
-//!    gathered candidate columns (through the same SIMD kernels as the
-//!    full scans — AVX-512/AVX2/SSE2/portable). Per-station energies are
-//!    bit-identical to the full scan's by kernel contract, so the argmax
-//!    (or nearest-station) choice is *exact*. The reception test is then
-//!    evaluated at both ends of the residual interval: if both ends
-//!    agree, the decision is certified and emitted; if they disagree
-//!    (the point sits within the interval's width of the `SINR = β`
-//!    boundary), the point **falls back to the backend's own serial
-//!    kernel** — never an approximate answer.
+//! 3. **Sub-tile re-pruning** — the tile's points are cut into sub-tiles
+//!    of 32 consecutive Morton-ordered points. Each sub-tile re-envelopes
+//!    **only the tile's candidate set `C`** over its own, smaller box
+//!    and prunes `C` against its own best bottom; the newly pruned
+//!    stations' sub-box envelopes are added to `[L_R, U_R]`. On sparse
+//!    batches (a few points per station, so a tile spans many zones)
+//!    this cuts the per-point scan from ~1200 to ~170 of 4096 stations.
+//!    Both levels run one shared routine (`simd::prune_to_box`): a
+//!    branch-free vector envelope pass on the engine's pinned kernel
+//!    (`α = 2`; bit-identical to `energy_envelope`, `α ≠ 2` keeps the
+//!    scalar `powf` envelope), a keep bitmap, and multi-accumulator
+//!    residual sums.
+//! 4. **Certified per-point decision** — each point scans only its
+//!    sub-tile's gathered candidate columns (through the same SIMD
+//!    kernels as the full scans — AVX-512/AVX2/SSE2/portable).
+//!    Per-station energies are bit-identical to the full scan's by
+//!    kernel contract, so the argmax (or nearest-station) choice is
+//!    *exact*. The reception test is then evaluated at both ends of the
+//!    residual interval: if both ends agree, the decision is certified
+//!    and emitted. If they disagree (the point sits within the
+//!    interval's width of the `SINR = β` boundary), the point walks
+//!    down the ladder **sub-tile → tile → serial kernel**: it retries
+//!    the tile-level decision (the tile's candidate columns against
+//!    `[L_R, U_R]`), and only when that is inconclusive too does it
+//!    **fall back to the backend's own serial kernel** — never an
+//!    approximate answer.
 //!
 //! ## The correctness contract
 //!
@@ -47,7 +63,24 @@
 //! permutation-invariance and tiled-vs-serial differential suites. The
 //! certificates are one-sided with explicit rounding margins
 //! ([`BOUND_MARGIN`], [`TOTAL_MARGIN`]), so floating-point looseness can
-//! only ever cause a fallback (a perf event), never a changed answer.
+//! only ever cause an escalation or a fallback (a perf event), never a
+//! changed answer. Each rung of the ladder is sound on its own:
+//!
+//! * a station pruned at either level is strictly below some kept
+//!   candidate everywhere in the (sub-)box, so the argmax over the
+//!   short list — and its first-index tie rule — is the argmax over
+//!   the network, and under uniform power the nearest station is kept
+//!   too;
+//! * a station co-located with a point has an `∞` envelope top and is
+//!   never pruned, so the first coincident candidate is the first
+//!   coincident station;
+//! * every residual is a sum of valid envelopes over a box containing
+//!   the point, and every decision goes through the same
+//!   `TOTAL_MARGIN`-widened test;
+//! * the tile rung is the single-level decision, so the points that
+//!   reach the serial kernel are exactly those the tile bracket alone
+//!   cannot decide.
+//!
 //! Tiles whose points are not all finite fall back wholesale.
 //!
 //! Tiles are the work-stealing scheduler's unit (the same
@@ -61,7 +94,7 @@ use crate::engine::{
     GeneralAlpha, InverseSquare, Located, PathLoss, SinrEvaluator, BATCH_TILE,
     PARALLEL_BATCH_THRESHOLD,
 };
-use crate::simd::{self, SimdKernel};
+use crate::simd::{self, Columns, PruneScratch, QueryBox, SimdKernel};
 use crate::station::StationId;
 use sinr_algebra::KahanSum;
 use sinr_geometry::Point;
@@ -145,6 +178,12 @@ pub enum Select {
 
 /// Aggregate observability of one tiled run (for benches and tests —
 /// the counters say nothing about answers, which are always exact).
+///
+/// A point of a pruned tile walks the ladder sub-tile → tile → serial
+/// kernel (see the [module docs](self)): it scans its sub-tile's short
+/// candidate list, is *escalated* to the tile's list when that bracket
+/// is inconclusive, and *falls back* to the serial kernel when the tile
+/// bracket is inconclusive too.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TileStats {
     /// Total query points.
@@ -155,19 +194,38 @@ pub struct TileStats {
     /// wholesale: non-finite points, or pruning could not drop enough
     /// stations to pay for the gather).
     pub pruned_tiles: u64,
-    /// Σ |candidate set| over pruned tiles (divide by `pruned_tiles`
-    /// for the mean candidate count the per-point scans actually ran).
+    /// Σ |candidate set| over pruned tiles — the tile-level set,
+    /// before any sub-tile re-pruning (divide by `pruned_tiles` for
+    /// the mean tile candidate count).
     pub candidate_stations: u64,
-    /// Points whose certified decision was inconclusive and re-ran the
-    /// backend's serial kernel.
+    /// Points of pruned tiles: the points that took the certified path
+    /// rather than the wholesale serial fallback.
+    pub certified_points: u64,
+    /// Σ over certified-path points of the candidate-list lengths each
+    /// one scanned: its sub-tile's list, plus the tile's list when it
+    /// was escalated (divide by `certified_points` for the mean).
+    pub scanned_candidates: u64,
+    /// Points whose sub-tile decision was inconclusive and retried the
+    /// tile-level decision.
+    pub escalated_points: u64,
+    /// Points whose certified decision was inconclusive at every level
+    /// and re-ran the backend's serial kernel.
     pub fallback_points: u64,
 }
 
 impl TileStats {
-    /// Mean candidate-set size over the pruned tiles (`None` when no
-    /// tile took the pruned path).
+    /// Mean tile-level candidate-set size over the pruned tiles (`None`
+    /// when no tile took the pruned path).
     pub fn mean_candidates(&self) -> Option<f64> {
         (self.pruned_tiles > 0).then(|| self.candidate_stations as f64 / self.pruned_tiles as f64)
+    }
+
+    /// Mean number of candidates a certified-path point actually scanned
+    /// (`None` when no tile took the pruned path) — what the sub-tile
+    /// re-pruning buys, compared against [`Self::mean_candidates`].
+    pub fn mean_scanned_candidates(&self) -> Option<f64> {
+        (self.certified_points > 0)
+            .then(|| self.scanned_candidates as f64 / self.certified_points as f64)
     }
 }
 
@@ -354,16 +412,44 @@ where
     });
 }
 
-/// Per-worker scratch of the pruned executor: the per-station envelope
-/// columns and the gathered candidate SoA columns, reused across tiles.
+/// Query points per sub-tile: consecutive Morton-ordered points of a
+/// pruned tile whose box the tile's candidate list is re-pruned over
+/// (see the [module docs](self)). Smaller sub-tiles pay the re-prune
+/// more often, larger ones keep more candidates; on the sparse
+/// `bulk_locate` shape (4096 stations × 16384 points, 2-vCPU AVX-512
+/// VM) 16 points measured within noise of 32 and 64 slightly slower.
+const SUB_TILE: usize = 32;
+
+/// Per-worker scratch of the pruned executor: the prune pass's work
+/// buffers and the gathered candidate columns of the current tile and
+/// sub-tile, reused across tiles.
 #[derive(Default)]
 struct Scratch {
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    cxs: Vec<f64>,
-    cys: Vec<f64>,
-    cws: Vec<f64>,
-    cidx: Vec<u32>,
+    prune: PruneScratch,
+    tile: Columns,
+    sub: Columns,
+}
+
+/// The bounding box of `points[idxs]`, or `None` when some point is not
+/// finite (a non-finite point poisons every envelope).
+fn points_box(points: &[Point], idxs: &[u32]) -> Option<QueryBox> {
+    let mut b = QueryBox {
+        min_x: f64::INFINITY,
+        min_y: f64::INFINITY,
+        max_x: f64::NEG_INFINITY,
+        max_y: f64::NEG_INFINITY,
+    };
+    for &i in idxs {
+        let p = points[i as usize];
+        if !(p.x.is_finite() && p.y.is_finite()) {
+            return None;
+        }
+        b.min_x = b.min_x.min(p.x);
+        b.min_y = b.min_y.min(p.y);
+        b.max_x = b.max_x.max(p.x);
+        b.max_y = b.max_y.max(p.y);
+    }
+    Some(b)
 }
 
 /// The reception test of [`SinrEvaluator::decide`] evaluated at an
@@ -390,17 +476,18 @@ pub(crate) enum Certified {
 /// The tile-pruned batch executor behind
 /// [`QueryEngine::locate_batch`](crate::engine::QueryEngine::locate_batch)
 /// for the scan backends: Morton tiles, per-tile certified candidate
-/// sets, SIMD candidate scans, certified decisions with serial-kernel
-/// fallback (see the [module docs](self) for the pipeline and the
-/// bit-identity contract).
+/// sets re-pruned per 32-point sub-tile, SIMD candidate scans, and
+/// certified decisions down the sub-tile → tile → serial-kernel ladder
+/// (see the [module docs](self) for the pipeline and the bit-identity
+/// contract).
 ///
 /// `fallback` must be the *serial per-point kernel of the calling
 /// backend* — it is consulted verbatim for non-finite tiles, unpruned
 /// tiles and uncertifiable points, which is what makes the executor's
 /// answers bit-identical to that backend's serial path. `kernel` drives
-/// the candidate scans (any supported kernel yields identical answers;
-/// backends pass their pinned kernel). `Select::Nearest` additionally
-/// requires uniform power (the Observation-2.2 precondition — the
+/// the envelope prune passes and the candidate scans (any supported
+/// kernel yields identical answers; backends pass their pinned
+/// kernel). `Select::Nearest` additionally requires uniform power (the Observation-2.2 precondition — the
 /// caller's contract, as for [`crate::engine::VoronoiAssisted`]).
 ///
 /// Returns run statistics; answers are written into `out` at their
@@ -443,106 +530,101 @@ where
     let beta = eval.beta();
     let pruned_tiles = AtomicU64::new(0);
     let candidate_stations = AtomicU64::new(0);
+    let certified_points = AtomicU64::new(0);
+    let scanned_candidates = AtomicU64::new(0);
+    let escalated_points = AtomicU64::new(0);
     let fallback_points = AtomicU64::new(0);
+    // One certified point against gathered candidate columns and the
+    // residual interval of every station not among them.
+    let certify = |cols: &Columns, p: Point, resid_lo: f64, resid_hi: f64| match select {
+        Select::MaxEnergy => {
+            certify_max_energy(kernel, alpha, cols, p, resid_lo, resid_hi, noise, beta)
+        }
+        Select::Nearest => certify_nearest(alpha, cols, p, resid_lo, resid_hi, noise, beta),
+    };
     steal_tiles::<Scratch, _>(num_tiles, |t, scratch| {
         let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        // Tile bounding box; a non-finite point poisons every envelope,
-        // so such tiles run the serial kernel wholesale.
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut finite = true;
-        for &i in idxs {
-            let p = points[i as usize];
-            if !(p.x.is_finite() && p.y.is_finite()) {
-                finite = false;
-                break;
-            }
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        if !finite {
+        let serial = || {
             for &i in idxs {
                 slots.write(i as usize, fallback(points[i as usize]));
             }
-            return;
-        }
-        // Certified per-station energy envelopes over the tile box, and
-        // the best envelope bottom M: a station whose top is below M is
-        // provably never the strongest anywhere in the tile.
-        scratch.lb.clear();
-        scratch.ub.clear();
-        let mut m = f64::NEG_INFINITY;
-        let k_general = GeneralAlpha::new(alpha);
-        for j in 0..n {
-            let (d_min, d_max) = dist2_range_to_box(min_x, min_y, max_x, max_y, xs[j], ys[j]);
-            let (lo, hi) = if alpha == 2.0 {
-                energy_envelope(InverseSquare, ws[j], d_min, d_max, BOUND_MARGIN)
-            } else {
-                energy_envelope(k_general, ws[j], d_min, d_max, BOUND_MARGIN)
-            };
-            scratch.lb.push(lo);
-            scratch.ub.push(hi);
-            if lo > m {
-                m = lo;
-            }
-        }
-        // Candidate gather (ascending index — the argmax/argmin
-        // first-index tie rules ride on this) and the residual
-        // interference interval over the pruned stations.
-        scratch.cxs.clear();
-        scratch.cys.clear();
-        scratch.cws.clear();
-        scratch.cidx.clear();
-        let mut resid_lo = 0.0f64;
-        let mut resid_hi = 0.0f64;
-        for j in 0..n {
-            if scratch.ub[j] >= m {
-                scratch.cidx.push(j as u32);
-                scratch.cxs.push(xs[j]);
-                scratch.cys.push(ys[j]);
-                scratch.cws.push(ws[j]);
-            } else {
-                resid_lo += scratch.lb[j];
-                resid_hi += scratch.ub[j];
-            }
-        }
-        let n_c = scratch.cidx.len();
+        };
+        // Non-finite tiles run the serial kernel wholesale.
+        let Some(tile_box) = points_box(points, idxs) else {
+            return serial();
+        };
+        // Tile level: certified envelopes of every station over the
+        // tile box; the candidate set C keeps the stations whose top
+        // reaches the best bottom M, the rest become the residual
+        // interference interval [L_R, U_R].
+        let (resid_lo, resid_hi) = simd::prune_to_box(
+            kernel,
+            alpha,
+            tile_box,
+            xs,
+            ys,
+            ws,
+            None,
+            &mut scratch.prune,
+            &mut scratch.tile,
+        );
+        let n_c = scratch.tile.len();
         // Pruning that keeps ~everything cannot pay for the gather and
         // the certification: run the serial kernel directly.
         if n_c * 8 >= n * 7 {
-            for &i in idxs {
-                slots.write(i as usize, fallback(points[i as usize]));
-            }
-            return;
+            return serial();
         }
         pruned_tiles.fetch_add(1, Ordering::Relaxed);
         candidate_stations.fetch_add(n_c as u64, Ordering::Relaxed);
-        let mut tile_fallbacks = 0u64;
-        for &i in idxs {
-            let p = points[i as usize];
-            let outcome = match select {
-                Select::MaxEnergy => {
-                    certify_max_energy(kernel, alpha, scratch, p, resid_lo, resid_hi, noise, beta)
+        certified_points.fetch_add(idxs.len() as u64, Ordering::Relaxed);
+        let mut scanned = 0u64;
+        let mut escalated = 0u64;
+        let mut fallbacks = 0u64;
+        for sub in idxs.chunks(SUB_TILE) {
+            // Sub-tile level: re-prune only C over the sub-tile box;
+            // the newly pruned stations' envelopes join the residual.
+            let sub_box = points_box(points, sub).expect("a finite tile has finite sub-tiles");
+            let (new_lo, new_hi) = simd::prune_to_box(
+                kernel,
+                alpha,
+                sub_box,
+                &scratch.tile.xs,
+                &scratch.tile.ys,
+                &scratch.tile.ws,
+                Some(&scratch.tile.idx),
+                &mut scratch.prune,
+                &mut scratch.sub,
+            );
+            let (sub_lo, sub_hi) = (resid_lo + new_lo, resid_hi + new_hi);
+            let n_s = scratch.sub.len();
+            for &i in sub {
+                let p = points[i as usize];
+                scanned += n_s as u64;
+                let mut outcome = certify(&scratch.sub, p, sub_lo, sub_hi);
+                // Retry with the tile-level decision. When the re-prune
+                // dropped nothing that decision is the one just made
+                // (same columns, residual + 0.0), so it is skipped.
+                if matches!(outcome, Certified::Fallback) && n_s < n_c {
+                    escalated += 1;
+                    scanned += n_c as u64;
+                    outcome = certify(&scratch.tile, p, resid_lo, resid_hi);
                 }
-                Select::Nearest => {
-                    certify_nearest(alpha, scratch, p, resid_lo, resid_hi, noise, beta)
-                }
-            };
-            let answer = match outcome {
-                Certified::Answer(a) => a,
-                Certified::Fallback => {
-                    tile_fallbacks += 1;
-                    fallback(p)
-                }
-            };
-            slots.write(i as usize, answer);
+                let answer = match outcome {
+                    Certified::Answer(a) => a,
+                    Certified::Fallback => {
+                        fallbacks += 1;
+                        fallback(p)
+                    }
+                };
+                slots.write(i as usize, answer);
+            }
         }
-        if tile_fallbacks > 0 {
-            fallback_points.fetch_add(tile_fallbacks, Ordering::Relaxed);
+        scanned_candidates.fetch_add(scanned, Ordering::Relaxed);
+        if escalated > 0 {
+            escalated_points.fetch_add(escalated, Ordering::Relaxed);
+        }
+        if fallbacks > 0 {
+            fallback_points.fetch_add(fallbacks, Ordering::Relaxed);
         }
     });
     TileStats {
@@ -550,6 +632,9 @@ where
         tiles: num_tiles as u64,
         pruned_tiles: pruned_tiles.into_inner(),
         candidate_stations: candidate_stations.into_inner(),
+        certified_points: certified_points.into_inner(),
+        scanned_candidates: scanned_candidates.into_inner(),
+        escalated_points: escalated_points.into_inner(),
         fallback_points: fallback_points.into_inner(),
     }
 }
@@ -586,20 +671,20 @@ pub(crate) fn certify_decision(
 fn certify_max_energy(
     kernel: SimdKernel,
     alpha: f64,
-    scratch: &Scratch,
+    cols: &Columns,
     p: Point,
     resid_lo: f64,
     resid_hi: f64,
     noise: f64,
     beta: f64,
 ) -> Certified {
-    match simd::scan_slices(kernel, alpha, &scratch.cxs, &scratch.cys, &scratch.cws, p) {
+    match simd::scan_slices(kernel, alpha, &cols.xs, &cols.ys, &cols.ws, p) {
         // Coincident stations always survive pruning (their envelope
         // top is ∞), so the first coincident candidate is the first
         // coincident station of the whole scan.
-        Err(c) => Certified::Answer(Located::Reception(StationId(scratch.cidx[c] as usize))),
+        Err(c) => Certified::Answer(Located::Reception(StationId(cols.idx[c] as usize))),
         Ok(scan) => certify_decision(
-            StationId(scratch.cidx[scan.best] as usize),
+            StationId(cols.idx[scan.best] as usize),
             scan.best_energy,
             scan.total,
             resid_lo,
@@ -619,7 +704,7 @@ fn certify_max_energy(
 #[allow(clippy::too_many_arguments)]
 fn certify_nearest(
     alpha: f64,
-    scratch: &Scratch,
+    cols: &Columns,
     p: Point,
     resid_lo: f64,
     resid_hi: f64,
@@ -630,9 +715,9 @@ fn certify_nearest(
     let mut best_d2 = f64::INFINITY;
     let mut sum = 0.0f64;
     let k_general = GeneralAlpha::new(alpha);
-    for c in 0..scratch.cidx.len() {
-        let dx = scratch.cxs[c] - p.x;
-        let dy = scratch.cys[c] - p.y;
+    for c in 0..cols.len() {
+        let dx = cols.xs[c] - p.x;
+        let dy = cols.ys[c] - p.y;
         let d2 = dx * dx + dy * dy;
         if d2 < best_d2 {
             best_d2 = d2;
@@ -641,12 +726,12 @@ fn certify_nearest(
         // Plain positive sum: only feeds the certified bounds, whose
         // TOTAL_MARGIN dwarfs the uncompensated rounding.
         sum += if alpha == 2.0 {
-            InverseSquare.attenuation(d2) * scratch.cws[c]
+            InverseSquare.attenuation(d2) * cols.ws[c]
         } else {
-            k_general.attenuation(d2) * scratch.cws[c]
+            k_general.attenuation(d2) * cols.ws[c]
         };
     }
-    let station = StationId(scratch.cidx[best] as usize);
+    let station = StationId(cols.idx[best] as usize);
     if best_d2 == 0.0 {
         // At a station's position: reception by the `{sᵢ}` clause, tie
         // toward the smallest index — the serial tree path's rule.
@@ -655,9 +740,9 @@ fn certify_nearest(
     // The candidate's energy, computed with the exact operation
     // sequence of every scan kernel (`RN(RN(attenuation)·ψ)`).
     let best_e = if alpha == 2.0 {
-        InverseSquare.attenuation(best_d2) * scratch.cws[best]
+        InverseSquare.attenuation(best_d2) * cols.ws[best]
     } else {
-        k_general.attenuation(best_d2) * scratch.cws[best]
+        k_general.attenuation(best_d2) * cols.ws[best]
     };
     certify_decision(station, best_e, sum, resid_lo, resid_hi, noise, beta)
 }
@@ -698,6 +783,10 @@ const SUM_SLACK: f64 = 1e-11;
 /// pixel bands onto the `O(n)` fallback, which measures strictly worse
 /// on megapixel grids.
 const FREEZE_REL: f64 = 0.05;
+
+/// Candidates per block of a cell certificate's envelope pass: one
+/// block's gathered columns and envelopes fit on the stack.
+const CERT_BLOCK: usize = 256;
 
 /// A certified bracket `[lo, hi]` of one station's SINR over a cell:
 /// every value [`SinrEvaluator::sinr`] returns for any point of the
@@ -912,7 +1001,7 @@ fn cell_receives(lo: f64, hi: f64, others_hi: f64, noise: f64, beta: f64) -> boo
 #[inline]
 fn cell_silent(hi: f64, others_lo: f64, noise: f64, beta: f64) -> bool {
     let ipn_lo = (others_lo + noise) - TOTAL_MARGIN * (hi + others_lo + noise);
-    hi.is_finite() && ipn_lo > 0.0 && hi < beta * ipn_lo
+    hi.is_finite() & (ipn_lo > 0.0) & (hi < beta * ipn_lo)
 }
 
 /// The generic cell-certificate executor behind
@@ -920,8 +1009,10 @@ fn cell_silent(hi: f64, others_lo: f64, noise: f64, beta: f64) -> bool {
 /// per-station energy envelopes over the cell box (the same
 /// [`energy_envelope`] primitive as the batch pruning and the
 /// stochastic-channel tile cache — unit-power attenuation times power,
-/// widened by [`BOUND_MARGIN`]), leave-one-out interference brackets,
-/// and the certified classification.
+/// widened by [`BOUND_MARGIN`] — computed by the batch pruning's vector
+/// envelope pass on `kernel`, bit-identical on every kernel),
+/// leave-one-out interference brackets, and the certified
+/// classification.
 ///
 /// The classification is sound for **every** shipped backend: a
 /// [`CellDecision::Reception`]/[`CellDecision::Silent`] answer is a
@@ -942,6 +1033,7 @@ fn cell_silent(hi: f64, others_lo: f64, noise: f64, beta: f64) -> bool {
 /// with relatively tight envelopes ([`FREEZE_REL`]) are frozen in turn.
 pub(crate) fn cell_certificate(
     eval: &SinrEvaluator,
+    kernel: SimdKernel,
     min: Point,
     max: Point,
     parent: Option<&CellCert>,
@@ -951,7 +1043,6 @@ pub(crate) fn cell_certificate(
     let noise = eval.noise();
     let beta = eval.beta();
     let alpha = eval.alpha();
-    let k_general = GeneralAlpha::new(alpha);
     if let Some(p) = parent {
         debug_assert_eq!(p.n, n, "parent certificate is for a different network");
         debug_assert!(
@@ -965,46 +1056,88 @@ pub(crate) fn cell_certificate(
         && max.y.is_finite()
         && min.x <= max.x
         && min.y <= max.y;
-    // Pass 1: envelope every inherited candidate over the child box.
+    // Pass 1: envelope every inherited candidate over the child box —
+    // the tiled executor's envelope pass on `kernel`, bit-identical to
+    // the scalar `energy_envelope` whichever kernel runs it — in blocks
+    // whose gathered columns and envelopes live on the stack (a large
+    // transient heap buffer per certificate costs fresh page faults
+    // once the allocator returns it). A non-finite cell keeps the
+    // trivial envelope `[0, ∞)`.
     let inherited = parent.map(|p| p.cands.len()).unwrap_or(n);
+    let b = QueryBox {
+        min_x: min.x,
+        min_y: min.y,
+        max_x: max.x,
+        max_y: max.y,
+    };
     let mut ent: Vec<(u32, f64, f64)> = Vec::with_capacity(inherited);
     let mut cand_lo = KahanSum::new();
     let mut cand_hi = KahanSum::new();
     let mut inf_lo = 0u32;
     let mut inf_hi = 0u32;
-    let mut envelope = |j: usize| {
-        let (mut lo, mut hi) = if finite_cell {
-            let (d_min, d_max) = dist2_range_to_box(min.x, min.y, max.x, max.y, xs[j], ys[j]);
-            if alpha == 2.0 {
-                energy_envelope(InverseSquare, ws[j], d_min, d_max, BOUND_MARGIN)
-            } else {
-                energy_envelope(k_general, ws[j], d_min, d_max, BOUND_MARGIN)
+    for start in (0..inherited).step_by(CERT_BLOCK) {
+        let len = CERT_BLOCK.min(inherited - start);
+        let mut lb = [0.0; CERT_BLOCK];
+        let mut ub = [f64::INFINITY; CERT_BLOCK];
+        let (lb, ub) = (&mut lb[..len], &mut ub[..len]);
+        let mut idx = [0u32; CERT_BLOCK];
+        let idx = &mut idx[..len];
+        match parent {
+            Some(p) => {
+                let block = &p.cands[start..start + len];
+                idx.iter_mut().zip(block).for_each(|(i, &(j, _, _))| *i = j);
+                if finite_cell {
+                    let mut cols = [[0.0; CERT_BLOCK]; 3];
+                    for (t, &j) in idx.iter().enumerate() {
+                        let j = j as usize;
+                        cols[0][t] = xs[j];
+                        cols[1][t] = ys[j];
+                        cols[2][t] = ws[j];
+                    }
+                    let [cx, cy, cw] = &cols;
+                    simd::envelopes(kernel, alpha, b, &cx[..len], &cy[..len], &cw[..len], lb, ub);
+                }
             }
-        } else {
-            (0.0, f64::INFINITY)
-        };
-        // Non-finite station coordinates (or any other NaN source)
-        // widen to the trivial envelope — the station can then never be
-        // pruned, frozen, or certified, only force `Mixed`.
-        if lo.is_nan() || hi.is_nan() {
-            lo = 0.0;
-            hi = f64::INFINITY;
+            None => {
+                idx.iter_mut()
+                    .enumerate()
+                    .for_each(|(t, i)| *i = (start + t) as u32);
+                if finite_cell {
+                    let range = start..start + len;
+                    simd::envelopes(
+                        kernel,
+                        alpha,
+                        b,
+                        &xs[range.clone()],
+                        &ys[range.clone()],
+                        &ws[range],
+                        lb,
+                        ub,
+                    );
+                }
+            }
         }
-        if lo.is_finite() {
-            cand_lo.add(lo);
-        } else {
-            inf_lo += 1;
+        for ((&j, &lo), &hi) in idx.iter().zip(lb.iter()).zip(ub.iter()) {
+            // Any NaN source widens to the trivial envelope — the
+            // station can then never be pruned, frozen, or certified,
+            // only force `Mixed`.
+            let (lo, hi) = if lo.is_nan() || hi.is_nan() {
+                (0.0, f64::INFINITY)
+            } else {
+                (lo, hi)
+            };
+            if lo.is_finite() {
+                cand_lo.add(lo);
+            } else {
+                inf_lo += 1;
+            }
+            if hi.is_finite() {
+                cand_hi.add(hi);
+            } else {
+                inf_hi += 1;
+            }
+            ent.push((j, lo, hi));
         }
-        if hi.is_finite() {
-            cand_hi.add(hi);
-        } else {
-            inf_hi += 1;
-        }
-        ent.push((j as u32, lo, hi));
-    };
-    match parent {
-        Some(p) => p.cands.iter().for_each(|&(j, _, _)| envelope(j as usize)),
-        None => (0..n).for_each(&mut envelope),
     }
     let (mut frozen_lo, mut frozen_hi, frozen_parent) = match parent {
         Some(p) => (p.frozen_lo, p.frozen_hi, p.frozen.clone()),
@@ -1016,43 +1149,47 @@ pub(crate) fn cell_certificate(
     // partition tight certified-silent candidates into the frozen set.
     // Surviving candidates compact in place over `ent` (ascending order
     // is preserved, which the argmax first-index tie rules ride on);
-    // only the frozen minority moves out.
+    // the frozen minority moves out. The loop is branch-free — the
+    // silent/frozen/kept outcomes follow station geometry, not index
+    // order, so branches on them mispredict — with unconditional writes
+    // behind the two compaction cursors and `+0.0` (an exact no-op on
+    // the non-negative sums) added for non-frozen candidates.
+    let others = |own: f64, inf_own: bool, inf: u32, sum: f64, slack: f64| {
+        let own = if own.is_finite() { own } else { 0.0 };
+        let finite = ((sum - own) + slack * sum).max(0.0);
+        if inf - u32::from(inf_own) > 0 {
+            f64::INFINITY
+        } else {
+            finite
+        }
+    };
     let mut new_frozen: Vec<(u32, f64, f64)> = Vec::new();
     let mut non_silent = 0usize;
-    let mut rx: Option<StationId> = None;
-    let mut rx_certified = false;
+    let mut first_non_silent = 0usize;
     let mut kept = 0usize;
     for i in 0..ent.len() {
         let (j, lo, hi) = ent[i];
-        let others_hi = if inf_hi - u32::from(hi == f64::INFINITY) > 0 {
-            f64::INFINITY
-        } else {
-            let own = if hi.is_finite() { hi } else { 0.0 };
-            ((sum_hi - own) + SUM_SLACK * sum_hi).max(0.0)
-        };
-        let others_lo = if inf_lo - u32::from(lo == f64::INFINITY) > 0 {
-            f64::INFINITY
-        } else {
-            let own = if lo.is_finite() { lo } else { 0.0 };
-            ((sum_lo - own) - SUM_SLACK * sum_lo).max(0.0)
-        };
-        if cell_silent(hi, others_lo, noise, beta) {
-            if hi <= lo * (1.0 + FREEZE_REL) {
-                frozen_lo += lo;
-                frozen_hi += hi;
-                new_frozen.push((j, lo, hi));
-                continue;
-            }
-        } else {
-            non_silent += 1;
-            if non_silent == 1 {
-                rx = Some(StationId(j as usize));
-                rx_certified = cell_receives(lo, hi, others_hi, noise, beta);
-            }
+        let others_lo = others(lo, lo == f64::INFINITY, inf_lo, sum_lo, -SUM_SLACK);
+        let silent = cell_silent(hi, others_lo, noise, beta);
+        let freeze = silent & (hi <= lo * (1.0 + FREEZE_REL));
+        if !silent & (non_silent == 0) {
+            first_non_silent = kept;
+        }
+        non_silent += usize::from(!silent);
+        frozen_lo += if freeze { lo } else { 0.0 };
+        frozen_hi += if freeze { hi } else { 0.0 };
+        if freeze {
+            new_frozen.push((j, lo, hi));
         }
         ent[kept] = (j, lo, hi);
-        kept += 1;
+        kept += usize::from(!freeze);
     }
+    // The first non-silent candidate's own reception test.
+    let rx = (non_silent > 0).then(|| ent[first_non_silent]);
+    let rx_certified = rx.is_some_and(|(_, lo, hi)| {
+        let others_hi = others(hi, hi == f64::INFINITY, inf_hi, sum_hi, SUM_SLACK);
+        cell_receives(lo, hi, others_hi, noise, beta)
+    });
     ent.truncate(kept);
     let cands = ent;
     // Reception needs a *unique* non-silent candidate whose own test is
@@ -1064,7 +1201,8 @@ pub(crate) fn cell_certificate(
     let decision = if non_silent == 0 {
         CellDecision::Silent
     } else if non_silent == 1 && rx_certified {
-        CellDecision::Reception(rx.expect("non_silent == 1 recorded a candidate"))
+        let (j, _, _) = rx.expect("non_silent == 1 recorded a candidate");
+        CellDecision::Reception(StationId(j as usize))
     } else {
         CellDecision::Mixed
     };
@@ -1257,8 +1395,10 @@ fn locate_in_cert(
 ///
 /// In the returned [`TileStats`], `pruned_tiles` counts bulk-filled
 /// tiles (their points never ran `exact`), `fallback_points` counts
-/// per-point evaluations, and `candidate_stations` stays 0 (no
-/// candidate gather happens on this path).
+/// per-point evaluations, and the candidate counters
+/// (`candidate_stations`, `certified_points`, `scanned_candidates`,
+/// `escalated_points`) stay 0 (no candidate gather happens on this
+/// path).
 ///
 /// # Panics
 ///
@@ -1295,49 +1435,38 @@ where
     let fallback_points = AtomicU64::new(0);
     steal_tiles::<(), _>(num_tiles, |t, _scratch| {
         let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut finite = true;
-        for &k in idxs {
-            let p = points[k as usize];
-            if !(p.x.is_finite() && p.y.is_finite()) {
-                finite = false;
-                break;
-            }
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
+        let tile_box = points_box(points, idxs);
         // The bulk-zero certificate. Monotonicity of the rounded energy
         // in the distance holds for the division kernel (`1/d²` and the
         // product with the power are correctly rounded, hence weakly
         // monotone); `powf` makes no such promise, so `α ≠ 2` always
         // takes the per-point path.
-        let mut bulk_zero = false;
-        if finite && alpha == 2.0 {
-            let (d_min_i, d_max_i) = dist2_range_to_box(min_x, min_y, max_x, max_y, xs[i], ys[i]);
-            let (_, hi_i) = energy_envelope(InverseSquare, ws[i], d_min_i, d_max_i, BOUND_MARGIN);
-            if hi_i == 0.0 {
+        let bulk_zero = match tile_box {
+            Some(b) if alpha == 2.0 => {
+                let (d_min_i, d_max_i) =
+                    dist2_range_to_box(b.min_x, b.min_y, b.max_x, b.max_y, xs[i], ys[i]);
+                let (_, hi_i) =
+                    energy_envelope(InverseSquare, ws[i], d_min_i, d_max_i, BOUND_MARGIN);
                 // Energy is exactly +0.0 tile-wide; the quotient is
                 // +0.0 iff the denominator is positive. Noise settles
                 // it; otherwise some other station must have a positive
                 // certified energy floor over the tile.
-                bulk_zero = noise > 0.0
-                    || (0..n).any(|j| {
-                        if j == i {
-                            return false;
-                        }
-                        let (_, d_max) =
-                            dist2_range_to_box(min_x, min_y, max_x, max_y, xs[j], ys[j]);
-                        let (lo, _) =
-                            energy_envelope(InverseSquare, ws[j], 1.0, d_max, BOUND_MARGIN);
-                        lo > 0.0
-                    });
+                hi_i == 0.0
+                    && (noise > 0.0
+                        || (0..n).any(|j| {
+                            if j == i {
+                                return false;
+                            }
+                            let (_, d_max) = dist2_range_to_box(
+                                b.min_x, b.min_y, b.max_x, b.max_y, xs[j], ys[j],
+                            );
+                            let (lo, _) =
+                                energy_envelope(InverseSquare, ws[j], 1.0, d_max, BOUND_MARGIN);
+                            lo > 0.0
+                        }))
             }
-        }
+            _ => false,
+        };
         if bulk_zero {
             pruned_tiles.fetch_add(1, Ordering::Relaxed);
             for &k in idxs {
@@ -1346,20 +1475,25 @@ where
             return;
         }
         fallback_points.fetch_add(idxs.len() as u64, Ordering::Relaxed);
+        // Debug builds cross-check every value against the tile's cell
+        // certificate — the interval layer and the exact kernels must
+        // agree. One certificate per tile, built before the loop.
+        #[cfg(debug_assertions)]
+        let bracket = tile_box.map(|b| {
+            cell_certificate(
+                eval,
+                SimdKernel::Portable,
+                Point::new(b.min_x, b.min_y),
+                Point::new(b.max_x, b.max_y),
+                None,
+            )
+            .sinr(station)
+        });
         for &k in idxs {
             let p = points[k as usize];
             let v = exact(p);
             #[cfg(debug_assertions)]
-            if finite {
-                // Cross-check the value against the cell certificate —
-                // the interval layer and the exact kernels must agree.
-                let cert = cell_certificate(
-                    eval,
-                    Point::new(min_x, min_y),
-                    Point::new(max_x, max_y),
-                    None,
-                );
-                let iv = cert.sinr(station);
+            if let Some(iv) = bracket {
                 debug_assert!(
                     iv.contains(v),
                     "sinr {v} of {station} at {p} outside certified [{}, {}]",
@@ -1375,6 +1509,9 @@ where
         tiles: num_tiles as u64,
         pruned_tiles: pruned_tiles.into_inner(),
         candidate_stations: 0,
+        certified_points: 0,
+        scanned_candidates: 0,
+        escalated_points: 0,
         fallback_points: fallback_points.into_inner(),
     }
 }
@@ -1543,6 +1680,100 @@ mod cert_tests {
             min_cands < 200,
             "five levels of refinement never froze a single station"
         );
+    }
+
+    /// The certificate's envelope pass runs on the engine's kernel, in
+    /// stack blocks: every kernel must build the same certificate, bit
+    /// for bit, down a chain of cells — and across block boundaries
+    /// (`CERT_BLOCK` < n), with cells holding stations and degenerate
+    /// cells included — and every candidate's envelope must be the
+    /// scalar `energy_envelope` of *that* station over the cell.
+    #[test]
+    fn certificates_are_bit_identical_on_every_kernel() {
+        let check_envelopes = |eval: &SinrEvaluator, cert: &CellCert| {
+            let (xs, ys, ws) = eval.soa();
+            let (min, max) = cert.cell();
+            for &(j, lo, hi) in &cert.cands {
+                let j = j as usize;
+                let (d_min, d_max) = dist2_range_to_box(min.x, min.y, max.x, max.y, xs[j], ys[j]);
+                let want = if eval.alpha() == 2.0 {
+                    energy_envelope(InverseSquare, ws[j], d_min, d_max, BOUND_MARGIN)
+                } else {
+                    let k = GeneralAlpha::new(eval.alpha());
+                    energy_envelope(k, ws[j], d_min, d_max, BOUND_MARGIN)
+                };
+                assert_eq!(
+                    (lo.to_bits(), hi.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "station {j} over {min}–{max}"
+                );
+            }
+        };
+        let bits = |cert: &CellCert| {
+            let cands: Vec<(u32, u64, u64)> = cert
+                .cands
+                .iter()
+                .map(|&(j, lo, hi)| (j, lo.to_bits(), hi.to_bits()))
+                .collect();
+            let sums = [cert.frozen_lo, cert.frozen_hi, cert.sum_lo, cert.sum_hi].map(f64::to_bits);
+            (cert.decision, cands, sums, cert.inf_lo, cert.inf_hi)
+        };
+        let kernels: Vec<SimdKernel> = SimdKernel::ALL
+            .into_iter()
+            .filter(|k| k.is_supported())
+            .collect();
+        for (seed, alpha) in [(3, 2.0), (4, 3.0)] {
+            let mut net = crate::gen::random_uniform_network(seed, 700, 20.0, 0.01, 2.0).unwrap();
+            if alpha != 2.0 {
+                net = Network::builder()
+                    .stations(net.positions().iter().copied())
+                    .path_loss(alpha)
+                    .background_noise(0.01)
+                    .threshold(2.0)
+                    .build()
+                    .unwrap();
+            }
+            let eval = SinrEvaluator::new(&net);
+            // A diagonal descent from a cell holding every station, then
+            // a zero-area cell on a station.
+            let mut cells = Vec::new();
+            let (mut min, mut max) = (Point::new(-20.0, -20.0), Point::new(20.0, 20.0));
+            for _ in 0..7 {
+                cells.push((min, max));
+                let mid = Point::new(0.5 * (min.x + max.x), 0.5 * (min.y + max.y));
+                min = Point::new(0.5 * (min.x + mid.x), 0.5 * (min.y + mid.y));
+                max = mid;
+            }
+            let s = net.positions()[0];
+            cells.push((s, s));
+            let chain = |kernel: SimdKernel| {
+                let mut parent: Option<CellCert> = None;
+                let mut out = Vec::new();
+                for &(min, max) in &cells[..cells.len() - 1] {
+                    let cert = cell_certificate(&eval, kernel, min, max, parent.as_ref());
+                    out.push(bits(&cert));
+                    parent = Some(cert);
+                }
+                let (min, max) = cells[cells.len() - 1];
+                out.push(bits(&cell_certificate(&eval, kernel, min, max, None)));
+                out
+            };
+            let mut parent: Option<CellCert> = None;
+            for &(min, max) in &cells[..cells.len() - 1] {
+                let cert = cell_certificate(&eval, SimdKernel::Portable, min, max, parent.as_ref());
+                check_envelopes(&eval, &cert);
+                parent = Some(cert);
+            }
+            let reference = chain(SimdKernel::Portable);
+            assert!(reference[0].1.len() > CERT_BLOCK, "the root spans blocks");
+            for &kernel in &kernels {
+                assert!(
+                    chain(kernel) == reference,
+                    "α = {alpha}: {} certificates differ from the scalar pass",
+                    kernel.name()
+                );
+            }
+        }
     }
 
     #[test]

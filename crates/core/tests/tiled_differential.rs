@@ -290,6 +290,202 @@ fn direct_executor_max_energy_matches_weighted_tree_path() {
     }
 }
 
+/// Drives the executor directly and asserts every answer equals
+/// `serial` at the same point; returns the run's stats.
+fn assert_direct_equals_serial<F: Fn(Point) -> Located + Sync>(
+    name: &str,
+    eval: &SinrEvaluator,
+    kernel: SimdKernel,
+    select: Select,
+    points: &[Point],
+    cfg: &TileConfig,
+    serial: F,
+) -> tile::TileStats {
+    let mut out = vec![Located::Silent; points.len()];
+    let stats = tile::locate_batch_tiled(eval, kernel, select, points, &mut out, cfg, &serial);
+    for (p, got) in points.iter().zip(&out) {
+        assert_eq!(*got, serial(*p), "{name}: tiled/serial mismatch at {p}");
+    }
+    assert!(
+        stats.escalated_points <= stats.certified_points,
+        "{name}: {stats:?}"
+    );
+    stats
+}
+
+/// Forced engagement at any tile size.
+fn forced(tile_points: usize) -> TileConfig {
+    TileConfig {
+        tile_points,
+        min_stations: 2,
+        min_points: 1,
+    }
+}
+
+/// The sparse shape `bulk_locate` serves — about four query points per
+/// station, uniform over the station box ×1.05 — where a tile spans
+/// many zones and the sub-tile re-prune does the real narrowing. Every
+/// backend and kernel stays bit-identical to its serial path, and the
+/// sub-tile lists are a fraction of the tile candidate sets.
+#[test]
+fn sparse_batch_sub_tiles_match_serial_and_narrow_the_scan() {
+    let half = 32.0;
+    let net = gen::random_uniform_network(71, 1024, half, 0.01, 2.0).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5BA5);
+    let points = gen::uniform_in_box(&mut rng, 4096, half * 1.05);
+    assert_tiled_equals_serial("ExactScan", &ExactScan::new(&net), &points);
+    assert_tiled_equals_serial("VoronoiAssisted", &VoronoiAssisted::new(&net), &points);
+    for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+        let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), kernel);
+        assert_tiled_equals_serial(kernel.name(), &simd, &points);
+        let stats = assert_direct_equals_serial(
+            kernel.name(),
+            simd.evaluator(),
+            kernel,
+            Select::MaxEnergy,
+            &points,
+            &TileConfig::default(),
+            |p| simd.locate(p),
+        );
+        let tile_mean = stats.mean_candidates().unwrap();
+        let scanned_mean = stats.mean_scanned_candidates().unwrap();
+        assert!(
+            scanned_mean * 2.0 < tile_mean,
+            "{}: sub-tiles scanned {scanned_mean} of {tile_mean} tile candidates",
+            kernel.name()
+        );
+    }
+}
+
+/// Tile sizes that leave partial and undersized sub-tiles (1, 31 and 33
+/// points, a 100-point tile of three full sub-tiles and a 4-point
+/// remainder, and 529 = 16·32 + 17), on every kernel, in both
+/// selection modes.
+#[test]
+fn partial_sub_tiles_match_serial_under_custom_tile_sizes() {
+    let net = big_network(81, 300, true);
+    let eval = SinrEvaluator::new(&net);
+    let tree = VoronoiAssisted::new(&net);
+    let points = query_batch(&net, 1200, 0x5AB);
+    for tile_points in [1usize, 31, 33, 100, 529] {
+        let cfg = forced(tile_points);
+        for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+            let name = format!("{} tile_points={tile_points}", kernel.name());
+            let stats = assert_direct_equals_serial(
+                &name,
+                &eval,
+                kernel,
+                Select::MaxEnergy,
+                &points,
+                &cfg,
+                |p| eval.locate(p),
+            );
+            assert_eq!(stats.tiles as usize, points.len().div_ceil(tile_points));
+            assert!(stats.pruned_tiles > 0, "{name}: no tile pruned");
+        }
+        assert_direct_equals_serial(
+            &format!("nearest tile_points={tile_points}"),
+            &eval,
+            SimdKernel::detect(),
+            Select::Nearest,
+            &points,
+            &cfg,
+            |p| tree.locate(p),
+        );
+    }
+}
+
+/// Degenerate sub-tiles: 64 copies of one point (a zero-area sub-tile
+/// box), 64 copies of a station position (a zero-area box *on* a
+/// station, whose envelope bottom is `∞`), every station position and
+/// near-station jitter — on non-uniform powers (`MaxEnergy`), uniform
+/// `Nearest` through the direct executor, and `α = 3` (the scalar
+/// `powf` envelope pass) on every kernel.
+#[test]
+fn degenerate_sub_tiles_match_serial_across_selection_modes_and_alpha() {
+    let with_degenerate_runs = |net: &Network, seed: u64| {
+        let mut points = query_batch(net, 1500, seed);
+        let s = net.position(StationId(5));
+        points.extend(std::iter::repeat_n(Point::new(s.x + 0.37, s.y - 0.21), 64));
+        points.extend(std::iter::repeat_n(s, 64));
+        points.extend(net.ids().map(|i| net.position(i)));
+        points
+    };
+    let cfg = forced(128);
+
+    // Non-uniform powers: max-energy selection against the scan and
+    // the weighted tree.
+    let net = big_network(91, 256, false);
+    let eval = SinrEvaluator::new(&net);
+    let tree = VoronoiAssisted::new(&net);
+    let points = with_degenerate_runs(&net, 0xD1);
+    for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+        let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), kernel);
+        assert_direct_equals_serial(
+            &format!("non-uniform {}", kernel.name()),
+            &eval,
+            kernel,
+            Select::MaxEnergy,
+            &points,
+            &cfg,
+            |p| simd.locate(p),
+        );
+    }
+    assert_direct_equals_serial(
+        "non-uniform weighted tree",
+        &eval,
+        SimdKernel::detect(),
+        Select::MaxEnergy,
+        &points,
+        &cfg,
+        |p| tree.locate(p),
+    );
+
+    // Uniform power: nearest selection against the kd-tree walk.
+    let net = big_network(92, 256, true);
+    let eval = SinrEvaluator::new(&net);
+    let tree = VoronoiAssisted::new(&net);
+    let points = with_degenerate_runs(&net, 0xD2);
+    assert_direct_equals_serial(
+        "uniform nearest",
+        &eval,
+        SimdKernel::detect(),
+        Select::Nearest,
+        &points,
+        &cfg,
+        |p| tree.locate(p),
+    );
+
+    // α = 3: the scalar envelope pass under every kernel's keep pass.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(93);
+    let mut b = Network::builder()
+        .background_noise(0.01)
+        .threshold(1.5)
+        .path_loss(3.0);
+    for _ in 0..256 {
+        b = b.station(Point::new(
+            rng.gen_range(-32.0..32.0),
+            rng.gen_range(-32.0..32.0),
+        ));
+    }
+    let net = b.build().unwrap();
+    let eval = SinrEvaluator::new(&net);
+    let points = with_degenerate_runs(&net, 0xD3);
+    for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+        let simd = SimdScan::with_kernel(SinrEvaluator::new(&net), kernel);
+        let stats = assert_direct_equals_serial(
+            &format!("alpha=3 {}", kernel.name()),
+            &eval,
+            kernel,
+            Select::MaxEnergy,
+            &points,
+            &cfg,
+            |p| simd.locate(p),
+        );
+        assert!(stats.pruned_tiles > 0, "alpha=3: no tile pruned");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

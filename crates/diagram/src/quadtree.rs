@@ -53,11 +53,21 @@
 //! region is certified by the same call, under the same parent, at the
 //! same midpoints as in the one-thread recursion, so every pixel is
 //! decided by the same certificate or backend call — only the thread
-//! that runs a subtree changes. Tasks write disjoint row slices of the
-//! one label buffer (split up front in safe code), and their unresolved
-//! pixels and counters merge in task order, which is the one-thread
-//! recursion's visiting order — so even the final `locate_batch` sees
-//! the same points in the same order.
+//! that runs a subtree changes. Tasks *record* their labels (certified
+//! regions and point-certified pixels) instead of writing them, and
+//! their records, unresolved pixels and counters merge in task order,
+//! which is the one-thread recursion's visiting order — so even the
+//! final `locate_batch` sees the same points in the same order.
+//!
+//! Because nothing is written until the refinement and the final batch
+//! are done, the label buffer's first touch overlaps them: on rasters
+//! large enough to spawn tasks, the calling thread allocates and
+//! initialises the buffer (16 bytes a pixel — 64 MB at 2048², where the
+//! page faults cost as much as the whole refinement) while a helper
+//! thread runs the refinement and the batch. The recorded labels are
+//! then painted in parallel row bands (a band owns its rows — disjoint
+//! slices split in safe code), skipping silent regions, which the
+//! buffer already holds.
 //!
 //! The payoff is reported, not assumed: [`HierarchicalStats`] carries
 //! the evaluated-pixel fraction (the `cells_evaluated / pixels` metric
@@ -170,47 +180,47 @@ struct Task {
     parent: Option<CellCert>,
 }
 
+/// The labels a refinement decided, recorded for painting once the
+/// label buffer exists.
+#[derive(Debug, Default)]
+struct Labels {
+    /// Regions resolved wholesale by a certified uniform decision.
+    fills: Vec<(Region, PixelLabel)>,
+    /// Point-certified pixels: raster-wide row-major index and label.
+    pixels: Vec<(usize, PixelLabel)>,
+}
+
+impl Labels {
+    fn extend(&mut self, other: Labels) {
+        self.fills.extend(other.fills);
+        self.pixels.extend(other.pixels);
+    }
+}
+
 /// The refinement state of one region of the raster: grid geometry, the
-/// region's own rows of the label buffer, and its deferred per-pixel
-/// batch.
+/// labels it decided, and its deferred per-pixel batch.
 struct Refiner<'a, E: QueryEngine + ?Sized> {
     engine: &'a E,
     window: &'a BBox,
     width: usize,
     height: usize,
-    /// The pixels `rows` covers.
-    area: Region,
-    /// The labels of `area`, one slice per raster row (bottom first).
-    rows: Vec<&'a mut [PixelLabel]>,
+    labels: Labels,
     /// Raster-wide row-major indices of pixels no certificate resolved.
     unresolved: Vec<usize>,
     stats: HierarchicalStats,
 }
 
 impl<'a, E: QueryEngine + ?Sized> Refiner<'a, E> {
-    fn new(
-        engine: &'a E,
-        window: &'a BBox,
-        (width, height): (usize, usize),
-        area: Region,
-        rows: Vec<&'a mut [PixelLabel]>,
-    ) -> Self {
+    fn new(engine: &'a E, window: &'a BBox, (width, height): (usize, usize)) -> Self {
         Refiner {
             engine,
             window,
             width,
             height,
-            area,
-            rows,
+            labels: Labels::default(),
             unresolved: Vec::new(),
             stats: HierarchicalStats::default(),
         }
-    }
-
-    /// The labels of raster row `row` over columns `c0..c1`.
-    fn labels(&mut self, row: usize, c0: usize, c1: usize) -> &mut [PixelLabel] {
-        let start = c0 - self.area.c0;
-        &mut self.rows[row - self.area.r0][start..start + (c1 - c0)]
     }
 
     fn center(&self, col: usize, row: usize) -> Point {
@@ -302,9 +312,7 @@ impl<'a, E: QueryEngine + ?Sized> Refiner<'a, E> {
 
     /// Resolves a whole region from a certified uniform decision.
     fn fill(&mut self, region: Region, label: PixelLabel) {
-        for row in region.r0..region.r1 {
-            self.labels(row, region.c0, region.c1).fill(label);
-        }
+        self.labels.fills.push((region, label));
         self.stats.certified_pixels += region.pixels() as u64;
     }
 
@@ -341,7 +349,9 @@ impl<'a, E: QueryEngine + ?Sized> Refiner<'a, E> {
                                 Some(loc) => {
                                     self.stats.cells_evaluated += 1;
                                     self.stats.point_certified += 1;
-                                    self.labels(row, col, col + 1)[0] = label_of(loc);
+                                    self.labels
+                                        .pixels
+                                        .push((row * self.width + col, label_of(loc)));
                                 }
                                 None => self.unresolved.push(row * self.width + col),
                             }
@@ -369,38 +379,27 @@ fn label_of(loc: Located) -> PixelLabel {
     }
 }
 
-/// The whole refinement short of the final batch, writing certified
-/// and point-certified labels into `cells` (row-major, `width` wide)
-/// and returning the unresolved pixels with the counters: the serial
-/// top splits the raster into tasks, the scheduler runs them, and their
-/// unresolved lists and counters merge in task order — which is the
-/// order the one-thread recursion visits them, so the merged list is
-/// that recursion's too.
+/// The whole refinement short of the final batch, recording certified
+/// and point-certified labels and returning them with the unresolved
+/// pixels and the counters: the serial top splits the raster into
+/// tasks, the scheduler runs them, and their records, unresolved lists
+/// and counters merge in task order — which is the order the one-thread
+/// recursion visits them, so the merged unresolved list is that
+/// recursion's too.
 fn refine_in_tasks<E: QueryEngine + Sync + ?Sized>(
     engine: &E,
     window: &BBox,
     (width, height): (usize, usize),
-    cells: &mut [PixelLabel],
-) -> (Vec<usize>, HierarchicalStats) {
+) -> (Labels, Vec<usize>, HierarchicalStats) {
     let raster = Region::new(0, width, 0, height);
     let task_pixels = (raster.pixels() / SPLIT_FANOUT).max(MIN_TASK_PIXELS);
     let mut tasks = Vec::new();
-    let rows = cells.chunks_mut(width).collect();
-    let mut top = Refiner::new(engine, window, (width, height), raster, rows);
+    let mut top = Refiner::new(engine, window, (width, height));
     top.split(raster, None, task_pixels, &mut tasks);
-    let (mut unresolved, mut stats) = (top.unresolved, top.stats);
+    let (mut labels, mut unresolved, mut stats) = (top.labels, top.unresolved, top.stats);
     let refiners: Vec<Mutex<Refiner<'_, E>>> = tasks
         .iter()
-        .zip(task_rows(cells, width, &tasks))
-        .map(|(task, rows)| {
-            Mutex::new(Refiner::new(
-                engine,
-                window,
-                (width, height),
-                task.region,
-                rows,
-            ))
-        })
+        .map(|_| Mutex::new(Refiner::new(engine, window, (width, height))))
         .collect();
     steal_tiles::<(), _>(tasks.len(), |t, _| {
         // Each task index is claimed exactly once: the lock never waits.
@@ -409,44 +408,78 @@ fn refine_in_tasks<E: QueryEngine + Sync + ?Sized>(
     });
     for refiner in refiners {
         let task = refiner.into_inner().expect("every task ran to completion");
+        labels.extend(task.labels);
         unresolved.extend_from_slice(&task.unresolved);
         stats.cells_evaluated += task.stats.cells_evaluated;
         stats.certificates += task.stats.certificates;
         stats.point_certified += task.stats.point_certified;
         stats.certified_pixels += task.stats.certified_pixels;
     }
-    (unresolved, stats)
+    (labels, unresolved, stats)
 }
 
-/// Splits the label buffer into every task's row slices. Tasks are
-/// disjoint regions, so each pixel lands in at most one task — the
-/// safe-code proof that tasks on different threads never share a label.
-fn task_rows<'a>(
-    cells: &'a mut [PixelLabel],
-    width: usize,
-    tasks: &[Task],
-) -> Vec<Vec<&'a mut [PixelLabel]>> {
-    let mut views: Vec<Vec<&mut [PixelLabel]>> = tasks
-        .iter()
-        .map(|task| Vec::with_capacity(task.region.r1 - task.region.r0))
-        .collect();
-    let mut cuts = Vec::new();
-    for (row, mut rest) in cells.chunks_mut(width).enumerate() {
-        cuts.clear();
-        cuts.extend(tasks.iter().enumerate().filter_map(|(t, task)| {
-            let Region { c0, c1, r0, r1 } = task.region;
-            (r0..r1).contains(&row).then_some((c0, c1, t))
-        }));
-        cuts.sort_unstable();
-        let mut at = 0;
-        for &(c0, c1, t) in &cuts {
-            let (segment, tail) = std::mem::take(&mut rest)[c0 - at..].split_at_mut(c1 - c0);
-            views[t].push(segment);
-            rest = tail;
-            at = c1;
-        }
+/// Everything but the label buffer: the refinement, then ONE
+/// [`QueryEngine::locate_batch`] over the pixels it left unresolved.
+/// Returns the recorded labels — the batch's answers appended to the
+/// point-certified pixels — and the counters.
+fn resolve<E: QueryEngine + Sync + ?Sized>(
+    engine: &E,
+    window: &BBox,
+    (width, height): (usize, usize),
+) -> (Labels, HierarchicalStats) {
+    let (mut labels, unresolved, stats) = refine_in_tasks(engine, window, (width, height));
+    if !unresolved.is_empty() {
+        let centers: Vec<Point> = unresolved
+            .iter()
+            .map(|&idx| pixel_center(window, width, height, idx % width, idx / width))
+            .collect();
+        let mut located = vec![Located::Silent; centers.len()];
+        engine.locate_batch(&centers, &mut located);
+        labels.pixels.extend(
+            unresolved
+                .iter()
+                .zip(&located)
+                .map(|(&idx, &loc)| (idx, label_of(loc))),
+        );
     }
-    views
+    let stats = HierarchicalStats {
+        pixels: (width * height) as u64,
+        cells_evaluated: stats.cells_evaluated + unresolved.len() as u64,
+        ..stats
+    };
+    (labels, stats)
+}
+
+/// Writes recorded labels into an all-silent label buffer (row-major,
+/// `width` wide). Fills are painted in parallel row bands — each band a
+/// disjoint slice of the buffer, applying the part of every fill that
+/// crosses it; silent fills are skipped, the buffer already holds them.
+fn paint(cells: &mut [PixelLabel], width: usize, labels: &Labels) {
+    let height = cells.len() / width;
+    let band_rows = height
+        .div_ceil(SPLIT_FANOUT)
+        .max(MIN_TASK_PIXELS.div_ceil(width));
+    let bands: Vec<Mutex<&mut [PixelLabel]>> = cells
+        .chunks_mut(band_rows * width)
+        .map(Mutex::new)
+        .collect();
+    steal_tiles::<(), _>(bands.len(), |b, _| {
+        // Each band index is claimed exactly once: the lock never waits.
+        let mut band = bands[b].lock().expect("a band is painted once");
+        let (r0, r1) = (b * band_rows, b * band_rows + band.len() / width);
+        for &(region, label) in &labels.fills {
+            if label == PixelLabel::Silent {
+                continue;
+            }
+            for row in region.r0.max(r0)..region.r1.min(r1) {
+                let at = (row - r0) * width;
+                band[at + region.c0..at + region.c1].fill(label);
+            }
+        }
+    });
+    for &(idx, label) in &labels.pixels {
+        cells[idx] = label;
+    }
 }
 
 /// Rasterises any [`QueryEngine`] backend over a window by quadtree
@@ -479,24 +512,25 @@ pub fn hierarchical_map<E: QueryEngine + Sync + ?Sized>(
     );
     // Zero-extent windows poison the pixel-centre arithmetic.
     assert_window(&window);
-    let mut cells = vec![PixelLabel::Silent; width * height];
-    let (unresolved, stats) = refine_in_tasks(engine, &window, (width, height), &mut cells);
-    if !unresolved.is_empty() {
-        let centers: Vec<Point> = unresolved
-            .iter()
-            .map(|&idx| pixel_center(&window, width, height, idx % width, idx / width))
-            .collect();
-        let mut located = vec![Located::Silent; centers.len()];
-        engine.locate_batch(&centers, &mut located);
-        for (&idx, &loc) in unresolved.iter().zip(located.iter()) {
-            cells[idx] = label_of(loc);
-        }
-    }
-    let stats = HierarchicalStats {
-        pixels: (width * height) as u64,
-        cells_evaluated: stats.cells_evaluated + unresolved.len() as u64,
-        ..stats
+    let pixels = width * height;
+    let (mut cells, (labels, stats)) = if pixels > MIN_TASK_PIXELS {
+        // The buffer's first touch overlaps the refinement and the
+        // batch, which record labels without touching it.
+        std::thread::scope(|scope| {
+            let resolved = scope.spawn(|| resolve(engine, &window, (width, height)));
+            let cells = vec![PixelLabel::Silent; pixels];
+            let resolved = resolved
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (cells, resolved)
+        })
+    } else {
+        (
+            vec![PixelLabel::Silent; pixels],
+            resolve(engine, &window, (width, height)),
+        )
     };
+    paint(&mut cells, width, &labels);
     (Raster::from_cells(window, width, height, cells), stats)
 }
 
@@ -574,16 +608,20 @@ mod tests {
             );
             for (w, h) in [(1024, 1024), (1000, 600), (1024, 3), (3, 1024), (64, 64)] {
                 let raster = Region::new(0, w, 0, h);
-                let mut serial_cells = vec![PixelLabel::Silent; w * h];
-                let rows = serial_cells.chunks_mut(w).collect();
-                let mut serial = Refiner::new(&engine, &window, (w, h), raster, rows);
+                let mut serial = Refiner::new(&engine, &window, (w, h));
                 serial.refine(raster, None);
-                let (serial_unresolved, serial_stats) = (serial.unresolved, serial.stats);
+                let mut serial_cells = vec![PixelLabel::Silent; w * h];
+                paint(&mut serial_cells, w, &serial.labels);
+                let (labels, unresolved, stats) = refine_in_tasks(&engine, &window, (w, h));
                 let mut cells = vec![PixelLabel::Silent; w * h];
-                let (unresolved, stats) = refine_in_tasks(&engine, &window, (w, h), &mut cells);
+                paint(&mut cells, w, &labels);
                 let tag = format!("{window} at {w}×{h}");
-                assert_eq!(serial_stats, stats, "{tag}");
-                assert!(serial_unresolved == unresolved, "{tag}: unresolved differ");
+                assert_eq!(serial.stats, stats, "{tag}");
+                assert!(serial.unresolved == unresolved, "{tag}: unresolved differ");
+                assert!(
+                    serial.labels.pixels == labels.pixels,
+                    "{tag}: pixels differ"
+                );
                 assert!(serial_cells == cells, "{tag}: labels differ");
             }
         }
