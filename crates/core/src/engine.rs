@@ -16,11 +16,11 @@
 //!   `O(n)` — the scalar loop needs `O(n²)`.
 //! * [`QueryEngine`] — the backend-independent trait: [`QueryEngine::
 //!   locate`], [`QueryEngine::locate_batch`] and [`QueryEngine::
-//!   sinr_batch`]. Large batches run in parallel through [`batch_map`],
-//!   a std-only work-stealing scheduler: the batch is cut into
-//!   fixed-size tiles and worker threads claim tiles through one atomic
-//!   counter, so skewed workloads (cheap rows next to expensive rows)
-//!   keep every core busy.
+//!   sinr_batch`]. Batches whose measured work is worth a thread spawn
+//!   run in parallel through [`batch_map`], a std-only work-stealing
+//!   scheduler: the batch is cut into tiles and worker threads claim
+//!   tiles through one atomic counter, so skewed workloads (cheap rows
+//!   next to expensive rows) keep every core busy.
 //! * Backends: [`ExactScan`] (one amortized SoA pass per point, exact for
 //!   every network), [`SimdScan`](crate::simd::SimdScan) (the same scan
 //!   explicitly vectorized — 8×f64 AVX-512 or 4×f64 AVX2 lanes when the
@@ -84,15 +84,19 @@
 //!
 //! How a `locate_batch` call actually runs, in order of engagement:
 //!
-//! 1. **Serial** — batches shorter than [`PARALLEL_BATCH_THRESHOLD`]
-//!    run a plain per-point loop on the calling thread.
-//! 2. **Per-point work stealing** — longer batches against *small*
-//!    networks (fewer than
-//!    [`TILED_MIN_STATIONS`](crate::tile::TILED_MIN_STATIONS) stations)
-//!    are cut into [`BATCH_TILE`]-input tiles claimed by worker threads
-//!    through one atomic counter ([`batch_map`]).
-//! 3. **Spatially-coherent tiled execution** ([`crate::tile`]) — longer
-//!    batches against larger networks are Morton-sorted into
+//! 1. **Per-point loop with a measured-work gate** ([`batch_map`]) —
+//!    batches shorter than [`PARALLEL_BATCH_THRESHOLD`], and longer
+//!    batches against *small* networks (fewer than
+//!    [`TILED_MIN_STATIONS`](crate::tile::TILED_MIN_STATIONS)
+//!    stations). The calling thread answers and times the first few
+//!    points; when the projected cost of the rest is worth a scoped
+//!    thread spawn (a few hundred µs — a 1024-point `VoronoiAssisted`
+//!    batch on 4096 stations, not a 1024-point batch on 16 stations),
+//!    the rest is cut into batch-sized tiles claimed by worker threads
+//!    through one atomic counter; otherwise it finishes serially.
+//! 2. **Spatially-coherent tiled execution** ([`crate::tile`]) — batches
+//!    of at least [`PARALLEL_BATCH_THRESHOLD`] points against larger
+//!    networks are Morton-sorted into
 //!    [`BATCH_TILE`]-point spatial tiles (an index permutation; output
 //!    positions never change), and each tile amortizes its work:
 //!    * one `O(n)` pass computes every station's certified energy
@@ -119,10 +123,9 @@
 //!      path for every backend and kernel (pinned by the
 //!      tiled-differential and permutation-invariance suites).
 //!
-//!    Tiles are also the stealable work units, so the scheduler knob is
-//!    shared: [`BATCH_TILE`] is both the steal granularity and the
+//!    Tiles are also the stealable work units: [`BATCH_TILE`] is the
 //!    spatial tile size ([`crate::tile::TileConfig`] makes it tunable
-//!    per call).
+//!    per call) and the largest unit [`batch_map`] hands out.
 //!
 //! [`VoronoiAssisted`] layers **proximity dispatch** on top: each query
 //! first finds the one station that could possibly be heard — the
@@ -262,6 +265,7 @@ use sinr_geometry::Point;
 use sinr_voronoi::{Dominator, EnergyBracket, KdTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Why an engine could not be brought in sync with its network.
 #[derive(Debug, Clone, PartialEq)]
@@ -448,23 +452,41 @@ impl PathLoss for GeneralAlpha {
     }
 }
 
-/// Batches at least this long are processed in parallel.
+/// The batch length at which the spatially-tiled executor of
+/// [`crate::tile`] engages: the default of
+/// [`TileConfig::min_points`](crate::tile::TileConfig::min_points), and
+/// the serial/parallel gate of the [`batch_map_chunked`] reference
+/// driver. It does **not** gate [`batch_map`], which decides from
+/// measured work, not length.
 ///
 /// Public so the threshold-boundary regression tests (and downstream
-/// batch drivers) can pin behaviour exactly at the serial/parallel
+/// batch drivers) can pin behaviour exactly at the tiled executor's
 /// crossover.
 pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
 
-/// The batch granularity: both the work-stealing scheduler and the
-/// spatial tiler of [`crate::tile`] hand out work in tiles of this many
-/// inputs — **one knob, not two**. Coarse enough that the shared atomic
-/// counter is cold and a tile's Morton bounding box is worth pruning
-/// against, fine enough that skewed workloads rebalance across threads
-/// and tiles stay spatially tight. Tunable per call through
+/// The spatial tile size of [`crate::tile`] and the largest unit of
+/// work [`batch_map`] hands a worker. Coarse enough that the shared
+/// atomic counter is cold and a tile's Morton bounding box is worth
+/// pruning against, fine enough that skewed workloads rebalance across
+/// threads and tiles stay spatially tight. Tunable per call through
 /// [`crate::tile::TileConfig::tile_points`] (this constant is its
 /// default): the tiled-differential suites drive other sizes through
 /// it, while the `engine_batch` bench measures only this default.
 pub const BATCH_TILE: usize = 512;
+
+/// Inputs the calling thread of [`batch_map`] answers and times before
+/// deciding whether the rest of the batch is worth parallelizing.
+const PROBE: usize = 32;
+
+/// Projected serial work below which [`batch_map`] never spawns: about
+/// seven times the scoped spawn + join cost of one helper thread (p50
+/// ~27 µs, p99 ~60 µs on a 2-vCPU VM), so a batch that goes parallel
+/// spends a small fraction of its work on the threads it starts.
+const MIN_PARALLEL_WORK: Duration = Duration::from_micros(200);
+
+/// The smallest unit of work [`batch_map`] hands a worker: enough
+/// inputs that claiming it (one `fetch_add`) is noise.
+const MIN_STEAL_UNIT: usize = 64;
 
 /// Minimum inputs per thread for the static split of
 /// [`batch_map_chunked`] — spawning a thread for fewer is pure overhead.
@@ -496,15 +518,24 @@ fn static_split(len: usize, threads: usize) -> (usize, usize) {
 }
 
 /// Applies `f` to every input, writing results into `out` — work-stolen
-/// across the available cores when the batch is large, serial otherwise.
+/// across the available cores when the batch's measured work pays for
+/// the threads, serial otherwise.
 ///
 /// This is the shared batch driver of every [`QueryEngine`] backend
-/// (including the Theorem-3 locator in `sinr-pointloc`). Large batches
-/// are split into fixed-size tiles claimed by worker threads through one
+/// (including the Theorem-3 locator in `sinr-pointloc`). The calling
+/// thread answers the first [`PROBE`] inputs and times them; if the
+/// rest, projected at that rate, costs at least [`MIN_PARALLEL_WORK`],
+/// it is cut into units of `rest / (4 · workers)` inputs (clamped to
+/// `[MIN_STEAL_UNIT, BATCH_TILE]`) claimed by worker threads through one
 /// atomic counter, so skewed per-input costs (e.g. rasters where some
-/// rows hit a fast path and others fall back to an exact scan) no longer
-/// idle whole threads the way the old one-chunk-per-core split did (that
-/// split survives as [`batch_map_chunked`] for comparison).
+/// rows hit a fast path and others fall back to an exact scan) still
+/// balance. Cheap batches never spawn, whatever their length; expensive
+/// ones use every core, whatever their length. The old
+/// one-chunk-per-core split survives as [`batch_map_chunked`] for
+/// comparison.
+///
+/// Answers never depend on the decision: `f` is applied once per input,
+/// and only the thread it runs on changes.
 ///
 /// # Panics
 ///
@@ -522,26 +553,45 @@ where
         inputs.len(),
         out.len()
     );
-    let len = inputs.len();
-    if len < PARALLEL_BATCH_THRESHOLD || worker_threads() <= 1 {
-        for (p, slot) in inputs.iter().zip(out.iter_mut()) {
-            *slot = f(p);
-        }
+    if inputs.len() <= 2 * PROBE || worker_threads() <= 1 {
+        serial_map(inputs, out, &f);
         return;
     }
-    let slots = steal::OutputSlots::new(out);
+    let (probe_in, rest_in) = inputs.split_at(PROBE);
+    let (probe_out, rest_out) = out.split_at_mut(PROBE);
+    let start = Instant::now();
+    serial_map(probe_in, probe_out, &f);
+    // Projected cost of the rest: elapsed · rest / PROBE, compared
+    // without division or overflow.
+    let projected = start.elapsed().as_nanos() * rest_in.len() as u128;
+    if projected < MIN_PARALLEL_WORK.as_nanos() * PROBE as u128 {
+        serial_map(rest_in, rest_out, &f);
+        return;
+    }
+    let len = rest_in.len();
+    let unit = len
+        .div_ceil(4 * worker_threads())
+        .clamp(MIN_STEAL_UNIT, BATCH_TILE);
+    let slots = steal::OutputSlots::new(rest_out);
     // One scheduler for the whole crate: the same tile-claiming loop
     // drives this per-point path and the spatial executors of
     // `crate::tile`.
-    crate::tile::steal_tiles::<(), _>(len.div_ceil(BATCH_TILE), |tile, _scratch| {
-        let start = tile * BATCH_TILE;
-        let end = (start + BATCH_TILE).min(len);
-        for (i, p) in inputs[start..end].iter().enumerate() {
+    crate::tile::steal_tiles::<(), _>(len.div_ceil(unit), |tile, _scratch| {
+        let start = tile * unit;
+        let end = (start + unit).min(len);
+        for (i, p) in rest_in[start..end].iter().enumerate() {
             // Tiles are claimed exactly once (fetch_add), so every
             // index is written by exactly one worker.
             slots.write(start + i, f(p));
         }
     });
+}
+
+/// The serial loop of the batch drivers.
+fn serial_map<I, O, F: Fn(&I) -> O>(inputs: &[I], out: &mut [O], f: &F) {
+    for (p, slot) in inputs.iter().zip(out.iter_mut()) {
+        *slot = f(p);
+    }
 }
 
 /// The PR-1 batch driver: one contiguous chunk per core, retained as the
@@ -571,9 +621,7 @@ where
         out.len()
     );
     if inputs.len() < PARALLEL_BATCH_THRESHOLD || worker_threads() <= 1 {
-        for (p, slot) in inputs.iter().zip(out.iter_mut()) {
-            *slot = f(p);
-        }
+        serial_map(inputs, out, &f);
         return;
     }
     let (_, chunk) = static_split(inputs.len(), worker_threads());
@@ -2592,7 +2640,8 @@ mod tests {
         )
         .unwrap();
         let engine = VoronoiAssisted::new(&net);
-        // Above PARALLEL_BATCH_THRESHOLD so the parallel path runs.
+        // Long enough that `batch_map`'s measured work usually takes the
+        // parallel branch; the answers must not depend on which ran.
         let points = grid_points(5.0, 40);
         assert!(points.len() > PARALLEL_BATCH_THRESHOLD);
         let mut batch = vec![Located::Silent; points.len()];
@@ -2654,12 +2703,28 @@ mod tests {
         engine.locate_batch(&[Point::ORIGIN], &mut out);
     }
 
+    /// Busy-waits `d`: a per-input cost large enough that `batch_map`'s
+    /// measured-work gate takes the parallel branch.
+    fn spin(d: Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn batch_map_parallel_and_serial_agree() {
         let inputs: Vec<u64> = (0..10_000).collect();
         let mut out = vec![0u64; inputs.len()];
         batch_map(&inputs, &mut out, |x| x * 3 + 1);
         assert!(inputs.iter().zip(&out).all(|(x, y)| *y == x * 3 + 1));
+        // Expensive inputs: the same answers through the parallel branch.
+        let mut slow = vec![0u64; inputs.len()];
+        batch_map(&inputs, &mut slow, |x| {
+            spin(Duration::from_micros(1));
+            x * 3 + 1
+        });
+        assert_eq!(slow, out);
         let small: Vec<u64> = (0..7).collect();
         let mut small_out = vec![0u64; 7];
         batch_map(&small, &mut small_out, |x| x + 1);
@@ -2694,7 +2759,12 @@ mod tests {
         let inputs: Vec<u64> = (0..len as u64).collect();
         let mut out: Vec<std::sync::Arc<u64>> = (0..len as u64).map(std::sync::Arc::new).collect();
         let probes: Vec<std::sync::Arc<u64>> = out.clone();
-        batch_map(&inputs, &mut out, |x| std::sync::Arc::new(x + 1));
+        // Expensive enough per input that the parallel branch runs
+        // wherever there is more than one core.
+        batch_map(&inputs, &mut out, |x| {
+            spin(Duration::from_micros(1));
+            std::sync::Arc::new(x + 1)
+        });
         for (x, slot) in inputs.iter().zip(&out) {
             assert_eq!(**slot, x + 1);
         }

@@ -83,10 +83,9 @@
 //!
 //! Tiles whose points are not all finite fall back wholesale.
 //!
-//! Tiles are the work-stealing scheduler's unit (the same
-//! [`BATCH_TILE`]-point granularity as the
-//! per-point scheduler), so skewed tiles rebalance across cores exactly
-//! like skewed points did.
+//! Tiles are the work-stealing scheduler's unit, so skewed tiles
+//! rebalance across cores exactly like the skewed points of
+//! [`crate::engine::batch_map`]'s units do.
 
 use crate::bounds::{dist2_range_to_box, energy_envelope};
 use crate::engine::steal::OutputSlots;
@@ -120,10 +119,9 @@ pub const TILED_MIN_STATIONS: usize = 128;
 
 /// Tuning knobs of the tiled executor.
 ///
-/// The defaults are the shared batch granularity
-/// ([`BATCH_TILE`] points per tile — one knob
-/// for both the work-stealing scheduler and the spatial tiler) and the
-/// thresholds the engines ship with; benches and differential tests
+/// The defaults are [`BATCH_TILE`] points per tile (also the largest
+/// unit [`crate::engine::batch_map`] hands a worker) and the thresholds
+/// the engines ship with; benches and differential tests
 /// construct custom configs to sweep the tile size or force the tiled
 /// path onto small inputs.
 #[derive(Debug, Clone, Copy)]
@@ -132,7 +130,9 @@ pub struct TileConfig {
     pub tile_points: usize,
     /// Minimum station count for the pruned path to pay for itself.
     pub min_stations: usize,
-    /// Minimum batch length; shorter batches stay on the serial loop.
+    /// Minimum batch length; shorter batches take the engine's
+    /// per-point path ([`crate::engine::batch_map`]), or the serial loop
+    /// of [`batch_map_morton`].
     pub min_points: usize,
 }
 

@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build once (SoA layout + weighted kd-tree dispatch: nearest
     // station under uniform power per Observation 2.2, the
     // power-diagram cell otherwise), then answer many points in one
-    // work-stolen parallel pass: O(n) per point instead of the scalar
-    // O(n²).
+    // batched pass (work-stolen across cores when its measured work
+    // pays for the threads): O(n) per point instead of the scalar O(n²).
     let engine = net.query_engine();
     let receivers: Vec<Point> = (-20..=20)
         .flat_map(|a| (-20..=20).map(move |b| Point::new(a as f64 * 0.25, b as f64 * 0.25)))
