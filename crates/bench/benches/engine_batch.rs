@@ -31,6 +31,10 @@
 //! fell back to before weighted dispatch), answers asserted
 //! bit-identical to a same-kernel `SimdScan`; its
 //! `"scenario":"nonuniform"` line must clear a 2× speedup floor.
+//! Both floored scenarios (this and smallbatch) time their two sides
+//! interleaved and gate on the median of the per-pair ratios (the
+//! emitted speedup); their `ns_per_point` fields stay the minimum over
+//! reps.
 //!
 //! The **smallbatch** scenario times `VoronoiAssisted` on
 //! 1024-point batches — below the tiling threshold, so every point runs
@@ -51,8 +55,9 @@
 //!
 //! The **channel_mc** scenario (PR 6) measures the stochastic-channel
 //! Monte-Carlo executor — `reception_probability_batch`, whose SoA
-//! columns, Morton tiling and unit-power tile envelopes are built once
-//! with only per-trial gains varying — against the rebuild-per-trial
+//! columns and Morton tiling are built once, each trial rescaling the
+//! power column and running the tiled executor's per-tile ladder —
+//! against the rebuild-per-trial
 //! baseline (draw the same gain stream, build a scaled `Network` and a
 //! fresh engine every trial, run its one-shot `locate_batch`).
 //! Probabilities are asserted bit-identical; the `"scenario":
@@ -162,6 +167,37 @@ fn time_ns_per_point(points: usize, mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
     f();
     start.elapsed().as_nanos() as f64 / points as f64
+}
+
+/// Times `fast` and `slow` interleaved (`fast`, `slow`, `fast`, …) for
+/// `reps` pairs of passes over `points` points. Returns each side's
+/// minimum ns/point (the trend lines' headline) and the median of the
+/// per-pair ratios `slow / fast` — what the speedup floors gate on: a
+/// burst of machine noise then skews one pair, not every rep of one
+/// side.
+fn time_pairs(
+    points: usize,
+    reps: usize,
+    mut fast: impl FnMut(),
+    mut slow: impl FnMut(),
+) -> (f64, f64, f64) {
+    let (mut fast_ns, mut slow_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let f = time_ns_per_point(points, &mut fast);
+        let s = time_ns_per_point(points, &mut slow);
+        fast_ns = fast_ns.min(f);
+        slow_ns = slow_ns.min(s);
+        ratios.push(s / f);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = reps / 2;
+    let median = if reps % 2 == 1 {
+        ratios[mid]
+    } else {
+        0.5 * (ratios[mid - 1] + ratios[mid])
+    };
+    (fast_ns, slow_ns, median)
 }
 
 /// The JSON perf record: per-point costs and engine speedups, one line
@@ -472,8 +508,8 @@ fn emit_churn_json_lines() {
 /// point batch of spatially-coherent receiver patches (coverage
 /// heatmaps around hotspots — the workload
 /// `reception_probability_batch` exists for), many trials. Each patch
-/// is one Morton tile, so the tile envelopes built once up front prune
-/// almost the whole network on every trial; the rebuild-per-trial
+/// is one Morton tile, so each trial's tile and sub-tile envelopes prune
+/// almost the whole network; the rebuild-per-trial
 /// baseline re-pays prep each trial and, at this one-shot batch size,
 /// its own `locate_batch` heuristic stays on the full-scan path.
 const MC_STATIONS: usize = 4096;
@@ -523,8 +559,8 @@ fn naive_reception_probs(
 }
 
 /// The channel Monte-Carlo record: `reception_probability_batch` (SoA
-/// columns, Morton tiling and envelopes built once; only per-trial
-/// gains vary) against the rebuild-per-trial baseline, per backend,
+/// columns and Morton tiling built once; only per-trial gains vary)
+/// against the rebuild-per-trial baseline, per backend,
 /// probabilities asserted bit-identical. One `"scenario":"channel_mc"`
 /// line per backend.
 fn emit_channel_mc_json_lines() {
@@ -685,7 +721,8 @@ fn emit_scheduling_json_line() {
 const NONUNIFORM_STATIONS: usize = 4096;
 const NONUNIFORM_MACRO_EVERY: usize = 64;
 const NONUNIFORM_MACRO_POWER: f64 = 8.0;
-/// Timing repetitions per path; the recorded value is the minimum.
+/// Interleaved timing pairs; the recorded times are the minimum per
+/// side, the gated speedup the median per-pair ratio.
 const NONUNIFORM_REPS: usize = 3;
 /// Internal floor: the weighted-dispatch batch path must beat the
 /// exact-scan engine — the path every non-uniform `VoronoiAssisted`
@@ -744,20 +781,12 @@ fn emit_nonuniform_json_lines() {
     simd.locate_batch(&queries, &mut want);
     assert_eq!(out, want, "weighted dispatch diverged from SimdScan");
 
-    let mut voronoi_ns = f64::INFINITY;
-    for _ in 0..NONUNIFORM_REPS {
-        voronoi_ns = voronoi_ns.min(time_ns_per_point(queries.len(), || {
-            voronoi.locate_batch(black_box(&queries), &mut out);
-        }));
-    }
-    let mut exact_ns = f64::INFINITY;
-    for _ in 0..NONUNIFORM_REPS {
-        exact_ns = exact_ns.min(time_ns_per_point(queries.len(), || {
-            exact.locate_batch(black_box(&queries), &mut want);
-        }));
-    }
-
-    let speedup = exact_ns / voronoi_ns;
+    let (voronoi_ns, exact_ns, speedup) = time_pairs(
+        queries.len(),
+        NONUNIFORM_REPS,
+        || voronoi.locate_batch(black_box(&queries), &mut out),
+        || exact.locate_batch(black_box(&queries), &mut want),
+    );
     assert!(
         speedup >= NONUNIFORM_MIN_SPEEDUP,
         "nonuniform: weighted dispatch {speedup:.1}x below the {NONUNIFORM_MIN_SPEEDUP}x floor"
@@ -785,7 +814,8 @@ fn emit_nonuniform_json_lines() {
 const SMALLBATCH_POINTS: usize = 1024;
 /// Distinct query batches per timing pass.
 const SMALLBATCH_BATCHES: usize = 16;
-/// Timing repetitions per path; the recorded value is the minimum.
+/// Interleaved timing pairs; the recorded times are the minimum per
+/// side, the gated speedup the median per-pair ratio.
 const SMALLBATCH_REPS: usize = 5;
 /// Internal floor: `VoronoiAssisted`'s per-point path — weighted
 /// dispatch plus the certified far-field bracket — must beat the
@@ -813,20 +843,20 @@ fn emit_smallbatch_json_lines() {
             "smallbatch: VoronoiAssisted diverged from SimdScan"
         );
     }
-    let time_all = |f: &mut dyn FnMut(&[Point])| {
-        let mut best = f64::INFINITY;
-        for _ in 0..SMALLBATCH_REPS {
-            best = best.min(time_ns_per_point(queries.len(), || {
-                for batch in queries.chunks(SMALLBATCH_POINTS) {
-                    f(black_box(batch));
-                }
-            }));
-        }
-        best
-    };
-    let voronoi_ns = time_all(&mut |batch| voronoi.locate_batch(batch, &mut out));
-    let simd_ns = time_all(&mut |batch| simd.locate_batch(batch, &mut want));
-    let speedup = simd_ns / voronoi_ns;
+    let (voronoi_ns, simd_ns, speedup) = time_pairs(
+        queries.len(),
+        SMALLBATCH_REPS,
+        || {
+            for batch in queries.chunks(SMALLBATCH_POINTS) {
+                voronoi.locate_batch(black_box(batch), &mut out);
+            }
+        },
+        || {
+            for batch in queries.chunks(SMALLBATCH_POINTS) {
+                simd.locate_batch(black_box(batch), &mut want);
+            }
+        },
+    );
     assert!(
         speedup >= SMALLBATCH_MIN_SPEEDUP,
         "smallbatch: VoronoiAssisted {speedup:.2}x below the {SMALLBATCH_MIN_SPEEDUP}x floor over SimdScan"

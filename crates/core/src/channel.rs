@@ -22,29 +22,24 @@
 //! a trial is exactly the deterministic model evaluated on the scaled
 //! power vector `(g₁ψ₁ … gₙψₙ)` — the sealed [`PathLoss`](crate::engine::PathLoss) strategy, the
 //! SoA scan kernels ([`crate::simd`]), and the reception test are reused
-//! verbatim. The expensive per-batch state is built **once**:
+//! verbatim. Per batch, only two things are built, once:
 //!
 //! * the SoA columns `xs / ys` never change across trials — only the
 //!   power column is rewritten (`n` multiplies per trial);
-//! * the Morton order of the query batch is computed once;
-//! * each tile's *unit-power* attenuation envelopes
-//!   `[attₗₒ(j), attₕᵢ(j)]` over the tile box
-//!   ([`crate::bounds::energy_envelope`] at `ψ = 1`) are computed once;
-//!   per trial the certified envelope of station `j` is just
-//!   `[attₗₒ(j)·gⱼψⱼ, attₕᵢ(j)·gⱼψⱼ]` — two multiplies per station per
-//!   tile, *exactly* as tight as recomputing from scratch (the envelope
-//!   is linear in the power), rather than widening a shared envelope by
-//!   per-tile gain bounds;
-//! * candidate pruning, the SIMD candidate scans
-//!   ([`crate::simd::scan_slices`] — the same kernels as
-//!   `locate_batch`), and the certified reception test at both ends of
-//!   the residual interval run per trial on the scaled columns, with
-//!   the backend's own serial kernel (on the scaled evaluator) as the
-//!   uncertifiable-point fallback. Certified decisions agree with
-//!   *every* summation order by the [`crate::tile::TOTAL_MARGIN`]
-//!   contract, so each trial's reception bit is bit-identical to what
-//!   the backend's deterministic `locate` would answer on the scaled
-//!   network.
+//! * the Morton order of the query batch is computed once.
+//!
+//! Each trial then runs every Morton tile through the tiled executor's
+//! own per-tile ladder ([`crate::tile::locate_batch_tiled`]'s body:
+//! envelope pruning over the tile and its 32-point sub-tiles, SIMD
+//! candidate scans, certified decisions) on the trial-scaled evaluator,
+//! with the backend's own serial kernel on that evaluator as the
+//! uncertifiable-point fallback. Envelopes are recomputed per trial from
+//! the scaled powers by the vector envelope pass; a station with an
+//! exact-zero gain inside a tile box still has an `∞` envelope top
+//! (`d²_min = 0`), so it stays a candidate. Certified decisions agree
+//! with *every* summation order by the [`crate::tile::TOTAL_MARGIN`]
+//! contract, so each trial's reception bit is bit-identical to what the
+//! backend's deterministic `locate` would answer on the scaled network.
 //!
 //! Trials are the work-stealing units (the same scheduler as every other
 //! batch path, [`crate::tile`]'s tile stealer), each worker owning one
@@ -86,11 +81,10 @@
 //! strategy — the certified-pruning argument above quantifies over all
 //! implemented models, so downstream crates must not add their own.
 
-use crate::bounds::{dist2_range_to_box, energy_envelope};
-use crate::engine::{GeneralAlpha, InverseSquare, LocateError, Located, SinrEvaluator, BATCH_TILE};
-use crate::simd::{self, SimdKernel};
+use crate::engine::{LocateError, Located, SinrEvaluator};
+use crate::simd::SimdKernel;
 use crate::station::StationId;
-use crate::tile::{morton_order, receives_at_total, steal_tiles, BOUND_MARGIN, TOTAL_MARGIN};
+use crate::tile::{locate_tile, morton_order, steal_tiles, Select, TileConfig, TileStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sinr_geometry::Point;
@@ -184,13 +178,31 @@ pub enum ChannelModel {
 impl ChannelModel {
     /// Checks the model is well-formed for a network of `n_stations`
     /// stations: finite non-negative `σ`, a full vector of finite
-    /// positive fixed gains, and a flat composition of at most
-    /// [`MAX_COMPOSED_ATOMS`] atoms.
+    /// positive fixed gains, a flat composition of at most
+    /// [`MAX_COMPOSED_ATOMS`] atoms, and no draw of the sampler that
+    /// overflows — the product of every atom's largest possible factor
+    /// must be finite, which bounds `σ` at about 359 dB for a lone
+    /// log-normal atom.
     ///
     /// # Errors
     ///
     /// [`ChannelError::InvalidChannel`] describing the first violation.
     pub fn validate(&self, n_stations: usize) -> Result<(), ChannelError> {
+        self.validate_atoms(n_stations)?;
+        let max = self.max_gain();
+        if max.is_finite() {
+            Ok(())
+        } else {
+            Err(ChannelError::InvalidChannel(format!(
+                "the largest gain this model can draw overflows ({max}); shadowing sigma is \
+                 capped at {:.1} dB",
+                f64::MAX.log10() * 10.0 / max_abs_normal()
+            )))
+        }
+    }
+
+    /// The structural half of [`ChannelModel::validate`].
+    fn validate_atoms(&self, n_stations: usize) -> Result<(), ChannelError> {
         match self {
             ChannelModel::Deterministic | ChannelModel::RayleighFading => Ok(()),
             ChannelModel::LogNormalShadowing { sigma_db } => {
@@ -230,7 +242,7 @@ impl ChannelModel {
                             "compositions must be flat (no nested Composed)".into(),
                         ));
                     }
-                    atom.validate(n_stations)?;
+                    atom.validate_atoms(n_stations)?;
                 }
                 Ok(())
             }
@@ -261,11 +273,28 @@ impl ChannelModel {
         }
     }
 
+    /// The largest gain any trial can draw: the product of each atom's
+    /// largest factor, from the samplers' extreme uniform draw. Every
+    /// drawn gain is at most this (rounding is monotone on non-negative
+    /// products).
+    fn max_gain(&self) -> f64 {
+        match self {
+            ChannelModel::Deterministic => 1.0,
+            ChannelModel::LogNormalShadowing { sigma_db } => {
+                10f64.powf(sigma_db * max_abs_normal() / 10.0)
+            }
+            ChannelModel::RayleighFading => -MIN_UNIT_DRAW.ln(),
+            ChannelModel::FixedGains { gains } => gains.iter().copied().fold(0.0, f64::max),
+            ChannelModel::Composed(atoms) => atoms.iter().map(ChannelModel::max_gain).product(),
+        }
+    }
+
     /// Fills `out` (one slot per station) with the gain vector of trial
     /// `trial` under base seed `seed` — the exact stream the engines
     /// consume, exposed so baselines and differential tests can replay
-    /// it. Gains of a valid model are always finite-or-zero and
-    /// non-negative (`Exp(1)` can draw an exact 0).
+    /// it. Gains of a model that passes [`ChannelModel::validate`] are
+    /// finite and non-negative; they can be exactly 0 (`Exp(1)` can draw
+    /// 0, and a deep log-normal fade underflows to 0).
     pub fn gains_for_trial(&self, seed: u64, trial: u32, out: &mut [f64]) {
         out.fill(1.0);
         let mut rng = trial_rng(seed, trial);
@@ -345,6 +374,17 @@ fn trial_rng(seed: u64, trial: u32) -> StdRng {
     StdRng::seed_from_u64(seed ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// The smallest `1 − u` the samplers can see: the shim's uniform draws
+/// in `[0, 1)` are multiples of `2⁻⁵³`, so `1 − u ≥ 2⁻⁵³`.
+const MIN_UNIT_DRAW: f64 = 0.5 * f64::EPSILON;
+
+/// The largest `|z|` [`standard_normal`] can return (about 8.57): its
+/// radius at the smallest `u₁`, computed with the sampler's own
+/// expression (`|cos| ≤ 1`).
+fn max_abs_normal() -> f64 {
+    (-2.0 * MIN_UNIT_DRAW.ln()).sqrt()
+}
+
 /// One `N(0, 1)` variate via Box–Muller (the shim has no normal
 /// distribution). `u₁` is mapped into `(0, 1]` so the log never sees 0;
 /// the second variate of the pair is discarded to keep the per-station
@@ -356,103 +396,22 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 }
 
 /// One `Exp(1)` variate (the unit-mean Rayleigh *power* gain) via
-/// inversion; `1 − u ∈ (0, 1]` keeps the log finite (an exact 0.0 gain
-/// is possible and handled by the executor's envelope guard).
+/// inversion; `1 − u ∈ (0, 1]` keeps the log finite. An exact 0.0 gain
+/// is possible: a zero-power station inside a tile box still has an `∞`
+/// envelope top, so the tiled executor keeps it as a candidate.
 fn unit_exponential(rng: &mut StdRng) -> f64 {
     -(1.0 - rng.gen_range(0.0..1.0)).ln()
 }
 
-/// Per-tile once-per-batch state of the Monte-Carlo executor: the tile's
-/// index range in the Morton order and each station's *unit-power*
-/// attenuation envelope over the tile box. Scaling by the trial's
-/// effective powers recovers exactly the envelope
-/// [`crate::tile::locate_batch_tiled`] would compute from scratch.
-struct TilePrep {
-    start: usize,
-    end: usize,
-    /// False when the tile contains a non-finite query point — every
-    /// trial runs such tiles through the serial kernel wholesale.
-    finite: bool,
-    att_lo: Vec<f64>,
-    att_hi: Vec<f64>,
-}
-
-/// Builds the Morton order and the per-tile unit-power envelopes — the
-/// trial-invariant half of the tiled pipeline, computed once per batch.
-fn prepare_tiles(eval: &SinrEvaluator, points: &[Point]) -> (Vec<u32>, Vec<TilePrep>) {
-    let order = morton_order(points);
-    let tile = BATCH_TILE;
-    let num_tiles = order.len().div_ceil(tile);
-    let (xs, ys, _) = eval.soa();
-    let n = xs.len();
-    let alpha = eval.alpha();
-    let k_general = GeneralAlpha::new(alpha);
-    let mut preps = Vec::with_capacity(num_tiles);
-    for t in 0..num_tiles {
-        let start = t * tile;
-        let end = ((t + 1) * tile).min(order.len());
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut finite = true;
-        for &i in &order[start..end] {
-            let p = points[i as usize];
-            if !(p.x.is_finite() && p.y.is_finite()) {
-                finite = false;
-                break;
-            }
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        if !finite {
-            preps.push(TilePrep {
-                start,
-                end,
-                finite: false,
-                att_lo: Vec::new(),
-                att_hi: Vec::new(),
-            });
-            continue;
-        }
-        let mut att_lo = Vec::with_capacity(n);
-        let mut att_hi = Vec::with_capacity(n);
-        for j in 0..n {
-            let (d_min, d_max) = dist2_range_to_box(min_x, min_y, max_x, max_y, xs[j], ys[j]);
-            let (lo, hi) = if alpha == 2.0 {
-                energy_envelope(InverseSquare, 1.0, d_min, d_max, BOUND_MARGIN)
-            } else {
-                energy_envelope(k_general, 1.0, d_min, d_max, BOUND_MARGIN)
-            };
-            att_lo.push(lo);
-            att_hi.push(hi);
-        }
-        preps.push(TilePrep {
-            start,
-            end,
-            finite: true,
-            att_lo,
-            att_hi,
-        });
-    }
-    (order, preps)
-}
-
 /// Per-worker scratch of the Monte-Carlo executor: the lazily-cloned
-/// scaled evaluator (one clone per worker for the whole run) plus the
-/// per-trial gain and envelope/candidate columns, reused across trials.
+/// scaled evaluator (one clone per worker for the whole run), the
+/// trial's gain column and the tiled executor's buffers, reused across
+/// trials.
 #[derive(Default)]
 struct McScratch {
     scaled: Option<SinrEvaluator>,
     gains: Vec<f64>,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    cxs: Vec<f64>,
-    cys: Vec<f64>,
-    cws: Vec<f64>,
-    cidx: Vec<u32>,
+    tile: crate::tile::Scratch,
 }
 
 /// The shared Monte-Carlo reception-probability executor behind every
@@ -522,8 +481,10 @@ where
 }
 
 /// Counts, per point, in how many of the `trials` seeded channel draws
-/// the point receives. Trials are the stolen work units; the per-batch
-/// Morton order and unit-power tile envelopes are shared read-only.
+/// the point receives. Trials are the stolen work units; each runs the
+/// tiled executor's per-tile ladder ([`locate_tile`]) over the shared
+/// Morton tiles on its trial-scaled evaluator, with the backend's serial
+/// kernel on that evaluator as the fallback.
 fn mc_reception_counts<F>(
     eval: &SinrEvaluator,
     kernel: SimdKernel,
@@ -536,130 +497,56 @@ fn mc_reception_counts<F>(
 where
     F: Fn(&SinrEvaluator, Point) -> Located + Sync,
 {
-    let (xs, ys, ws) = eval.soa();
-    let n = xs.len();
-    let alpha = eval.alpha();
-    let noise = eval.noise();
-    let beta = eval.beta();
+    let (_, _, ws) = eval.soa();
+    let n = ws.len();
+    let cfg = TileConfig::default();
     // Tiling pays off whenever the network is large enough to prune,
-    // regardless of batch length — the per-batch prep is amortized over
-    // every trial, unlike the single-shot `locate_batch` heuristic.
-    let tiled = n >= crate::tile::TILED_MIN_STATIONS;
-    let (order, preps) = if tiled {
-        prepare_tiles(eval, points)
+    // regardless of batch length — the Morton order is shared by every
+    // trial, unlike the single-shot `locate_batch` heuristic.
+    let tiled = n >= cfg.min_stations;
+    let order = if tiled {
+        morton_order(points)
     } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
     let counts: Vec<AtomicU32> = points.iter().map(|_| AtomicU32::new(0)).collect();
+    let count = |i: usize, answer: Located| {
+        if answer.station().is_some() {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+        }
+    };
     steal_tiles::<McScratch, _>(trials as usize, |t, scratch| {
         let McScratch {
             scaled,
             gains,
-            lb,
-            ub,
-            cxs,
-            cys,
-            cws,
-            cidx,
+            tile,
         } = scratch;
         let scaled = scaled.get_or_insert_with(|| eval.clone());
         gains.resize(n, 1.0);
         model.gains_for_trial(seed, t as u32, gains);
         scaled.set_scaled_powers(ws, gains);
+        let scaled = &*scaled;
+        let fallback = |p: Point| serial(scaled, p);
         if !tiled {
             for (i, &p) in points.iter().enumerate() {
-                if serial(scaled, p).station().is_some() {
-                    counts[i].fetch_add(1, Ordering::Relaxed);
-                }
+                count(i, fallback(p));
             }
             return;
         }
-        let (_, _, sws) = scaled.soa();
-        for prep in &preps {
-            let idxs = &order[prep.start..prep.end];
-            if !prep.finite {
-                for &i in idxs {
-                    if serial(scaled, points[i as usize]).station().is_some() {
-                        counts[i as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                continue;
-            }
-            // Scale the cached unit-power envelopes by this trial's
-            // effective powers and find the best envelope bottom M.
-            lb.clear();
-            ub.clear();
-            let mut m = f64::NEG_INFINITY;
-            for ((&w, &att_lo), &att_hi) in sws.iter().zip(&prep.att_lo).zip(&prep.att_hi) {
-                let mut lo = att_lo * w;
-                let mut hi = att_hi * w;
-                // `∞ · 0` (a station inside the tile box whose trial
-                // gain underflowed to 0) is NaN; widen to the trivial
-                // envelope so the station stays a candidate and the
-                // pruning certificate stays sound.
-                if lo.is_nan() || hi.is_nan() {
-                    lo = 0.0;
-                    hi = f64::INFINITY;
-                }
-                lb.push(lo);
-                ub.push(hi);
-                if lo > m {
-                    m = lo;
-                }
-            }
-            // Gather surviving candidates (ascending index — ties in the
-            // argmax resolve exactly as the full scan), accumulating the
-            // pruned stations' certified residual interval.
-            cxs.clear();
-            cys.clear();
-            cws.clear();
-            cidx.clear();
-            let mut resid_lo = 0.0;
-            let mut resid_hi = 0.0;
-            for j in 0..n {
-                if ub[j] >= m {
-                    cidx.push(j as u32);
-                    cxs.push(xs[j]);
-                    cys.push(ys[j]);
-                    cws.push(sws[j]);
-                } else {
-                    resid_lo += lb[j];
-                    resid_hi += ub[j];
-                }
-            }
-            if cidx.len() * 8 >= n * 7 {
-                // Pruning didn't drop ≳ 1/8 of the stations — the full
-                // serial scan is cheaper than the candidate machinery.
-                for &i in idxs {
-                    if serial(scaled, points[i as usize]).station().is_some() {
-                        counts[i as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                continue;
-            }
-            for &i in idxs {
-                let p = points[i as usize];
-                let received = match simd::scan_slices(kernel, alpha, cxs, cys, cws, p) {
-                    // The point coincides with a station: reception by
-                    // the `{sᵢ}` clause (coincident stations are always
-                    // candidates — their envelope top is +∞).
-                    Err(_) => true,
-                    Ok(scan) => {
-                        let hi_total = (scan.total + resid_hi) * (1.0 + TOTAL_MARGIN);
-                        let lo_total = (scan.total + resid_lo) * (1.0 - TOTAL_MARGIN);
-                        if receives_at_total(scan.best_energy, hi_total, noise, beta) {
-                            true
-                        } else if !receives_at_total(scan.best_energy, lo_total, noise, beta) {
-                            false
-                        } else {
-                            serial(scaled, p).station().is_some()
-                        }
-                    }
-                };
-                if received {
-                    counts[i as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        // Counters of the trial's tiles; only the answers are kept.
+        let mut stats = TileStats::default();
+        for idxs in order.chunks(cfg.tile_points) {
+            locate_tile(
+                scaled,
+                kernel,
+                Select::MaxEnergy,
+                points,
+                idxs,
+                tile,
+                &mut stats,
+                &fallback,
+                count,
+            );
         }
     });
     counts.into_iter().map(AtomicU32::into_inner).collect()
@@ -813,6 +700,144 @@ mod tests {
         assert!(McConfig::new(0, 1).validate().is_err());
         assert!(McConfig::new(MAX_TRIALS + 1, 1).validate().is_err());
         assert!(McConfig::new(1, 1).validate().is_ok());
+    }
+
+    /// Log-normal draws overflow past `σ ≈ 359.6` dB: `validate` rejects
+    /// exactly the models whose largest draw is not finite, and every
+    /// gain an accepted model draws is finite.
+    #[test]
+    fn validation_rejects_overflowing_draws() {
+        let cap = f64::MAX.log10() * 10.0 / max_abs_normal();
+        assert!((359.0..360.0).contains(&cap), "cap {cap}");
+        for sigma in [360.0, 4000.0, f64::MAX] {
+            assert!(
+                matches!(
+                    lognormal(sigma).validate(4),
+                    Err(ChannelError::InvalidChannel(_))
+                ),
+                "sigma {sigma} dB accepted"
+            );
+        }
+        let near_cap = lognormal(359.0);
+        assert!(near_cap.validate(4).is_ok());
+        // The sampler's extreme normal draw at the cap stays finite.
+        assert!(10f64.powf(359.0 * max_abs_normal() / 10.0).is_finite());
+        let mut g = vec![0.0; 64];
+        for trial in 0..1024 {
+            near_cap.gains_for_trial(11, trial, &mut g);
+            assert!(
+                g.iter().all(|x| x.is_finite() && *x >= 0.0),
+                "trial {trial}"
+            );
+        }
+        // Compositions are bounded by the product of their atoms' maxima.
+        let twice = ChannelModel::Composed(vec![lognormal(200.0), lognormal(200.0)]);
+        assert!(lognormal(200.0).validate(4).is_ok());
+        assert!(twice.validate(4).is_err());
+        let fixed = |g: f64| ChannelModel::FixedGains { gains: vec![g; 4] };
+        let faded = |g: f64| ChannelModel::Composed(vec![fixed(g), ChannelModel::RayleighFading]);
+        assert!(faded(1e300).validate(4).is_ok());
+        assert!(faded(1e307).validate(4).is_err());
+    }
+
+    /// The Monte-Carlo trials rely on the shared ladder for a zero-gain
+    /// station inside a tile box: its envelope top is `∞` at
+    /// `d²_min = 0` whatever its power, so it is never pruned. On a
+    /// trial-scaled evaluator with one zero gain (at some query points,
+    /// inside other tiles' boxes) and gains spanning `1e±12`,
+    /// `locate_tile` must answer every point exactly as the serial
+    /// kernel does, on every supported kernel.
+    #[test]
+    fn locate_tile_matches_serial_on_extreme_scaled_powers() {
+        use crate::tile::{locate_tile, Scratch};
+        let net = crate::gen::random_uniform_network(21, 400, 20.0, 0.01, 1.5).unwrap();
+        let (xs, ys, ws) = {
+            let eval = SinrEvaluator::new(&net);
+            let (xs, ys, ws) = eval.soa();
+            (xs.to_vec(), ys.to_vec(), ws.to_vec())
+        };
+        let n = xs.len();
+        let zero = 7;
+        let gains: Vec<f64> = (0..n)
+            .map(|j| {
+                if j == zero {
+                    0.0
+                } else {
+                    10f64.powf(-12.0 + 24.0 * ((j * 37) % 101) as f64 / 100.0)
+                }
+            })
+            .collect();
+        let mut scaled = SinrEvaluator::new(&net);
+        scaled.set_scaled_powers(&ws, &gains);
+        let s0 = Point::new(xs[zero], ys[zero]);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut points = Vec::new();
+        // Tile 0: the zero-gain station's own position among nearby
+        // points. Tile 1: a ring around it (its box holds the station,
+        // no point sits on it). Tiles 2–3: patches around two other
+        // stations.
+        for k in 0..64 {
+            points.push(if k % 8 == 0 {
+                s0
+            } else {
+                Point::new(
+                    s0.x + rng.gen_range(-2.0..2.0),
+                    s0.y + rng.gen_range(-2.0..2.0),
+                )
+            });
+        }
+        for k in 0..64 {
+            let a = k as f64 * std::f64::consts::TAU / 64.0;
+            let r = 0.5 + 0.02 * k as f64;
+            points.push(Point::new(s0.x + r * a.cos(), s0.y + r * a.sin()));
+        }
+        for c in [100, 200] {
+            for _ in 0..64 {
+                let (dx, dy) = (rng.gen_range(-1.5..1.5), rng.gen_range(-1.5..1.5));
+                points.push(Point::new(xs[c] + dx, ys[c] + dy));
+            }
+        }
+        let tiles: Vec<Vec<u32>> = (0..points.len() as u32)
+            .collect::<Vec<_>>()
+            .chunks(64)
+            .map(<[u32]>::to_vec)
+            .collect();
+        let want: Vec<Located> = points.iter().map(|&p| scaled.locate_scalar(p)).collect();
+        assert!(want.iter().filter(|a| a.station().is_some()).count() > 16);
+        for kernel in SimdKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+            let mut got = vec![None; points.len()];
+            let mut stats = TileStats::default();
+            let mut scratch = Scratch::default();
+            for idxs in &tiles {
+                locate_tile(
+                    &scaled,
+                    kernel,
+                    Select::MaxEnergy,
+                    &points,
+                    idxs,
+                    &mut scratch,
+                    &mut stats,
+                    &|p| scaled.locate_scalar(p),
+                    |i, answer| {
+                        assert!(got[i].replace(answer).is_none(), "point {i} answered twice");
+                    },
+                );
+            }
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    *g,
+                    Some(*w),
+                    "{}: point {i} at {}",
+                    kernel.name(),
+                    points[i]
+                );
+            }
+            assert_eq!(stats.pruned_tiles, tiles.len() as u64, "{}", kernel.name());
+            assert!(
+                stats.fallback_points < stats.certified_points / 2,
+                "{stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -125,7 +125,10 @@
 //!
 //!    Tiles are also the stealable work units: [`BATCH_TILE`] is the
 //!    spatial tile size ([`crate::tile::TileConfig`] makes it tunable
-//!    per call) and the largest unit [`batch_map`] hands out.
+//!    per call) and the largest unit [`batch_map`] hands out. The
+//!    channel Monte-Carlo trials run this same per-tile routine on
+//!    each trial's scaled powers (see [stochastic
+//!    channels](self#stochastic-channels)).
 //!
 //! [`VoronoiAssisted`] layers **proximity dispatch** on top: each query
 //! first finds the one station that could possibly be heard — the
@@ -157,9 +160,9 @@
 //! approximate: the inverse-square kernel's correctly-rounded
 //! arithmetic makes the envelope bound itself bit-exact there). All
 //! other points re-run the engine's own serial kernel, so `sinr_batch`
-//! stays bit-identical to the serial path; the Theorem-3 `PointLocator`
-//! reuses the tile grouping so queries dispatching to the same zone
-//! grid are processed together.
+//! stays bit-identical to the serial path. Shorter batches run the
+//! per-point kernel through [`batch_map`], like every untiled
+//! `locate_batch` (the Theorem-3 `PointLocator`'s included).
 //!
 //! ## Interval certificates
 //!
@@ -208,15 +211,12 @@
 //! energy is linear in transmit power,
 //! `Eⱼ(p | gain gⱼ) = gⱼ · ψⱼ / d(sⱼ, p)^α`, evaluating a trial is
 //! exactly evaluating the deterministic model on scaled powers
-//! `gⱼ·ψⱼ`. Everything power-independent is therefore built **once**
-//! per call — the SoA columns, the Morton point tiling, and each
-//! station's *unit-power* energy envelope per tile — and a trial costs
-//! two multiplies per station per tile (scaling the cached `[lo, hi]`
-//! envelope by `gⱼ·ψⱼ`) before the usual certified pruning and
-//! candidate scan run unchanged. A gain of exactly `0.0` (a deep-fade
-//! draw) times an infinite envelope top (station inside the tile box)
-//! is NaN; the executor **widens** such envelopes to the trivial
-//! `[0, ∞]` so the station stays a candidate and the pruning
+//! `gⱼ·ψⱼ`. The SoA position columns and the Morton point tiling are
+//! built **once** per call; each trial rewrites the power column and
+//! runs every tile through the tiled executor's own per-tile ladder
+//! (sub-tile → tile → serial kernel) on the scaled evaluator. A station
+//! with an exact-zero gain (a deep-fade draw) inside a tile box still
+//! has an `∞` envelope top, so it stays a candidate and the pruning
 //! certificate stays sound. Uncertain points fall back to the
 //! backend's serial kernel on the scaled evaluator, so per-trial
 //! answers are bit-identical to rebuilding a scaled network and
@@ -454,10 +454,9 @@ impl PathLoss for GeneralAlpha {
 
 /// The batch length at which the spatially-tiled executor of
 /// [`crate::tile`] engages: the default of
-/// [`TileConfig::min_points`](crate::tile::TileConfig::min_points), and
-/// the serial/parallel gate of the [`batch_map_chunked`] reference
-/// driver. It does **not** gate [`batch_map`], which decides from
-/// measured work, not length.
+/// [`TileConfig::min_points`](crate::tile::TileConfig::min_points). It
+/// does **not** gate [`batch_map`], which decides from measured work,
+/// not length.
 ///
 /// Public so the threshold-boundary regression tests (and downstream
 /// batch drivers) can pin behaviour exactly at the tiled executor's
@@ -488,10 +487,6 @@ const MIN_PARALLEL_WORK: Duration = Duration::from_micros(200);
 /// inputs that claiming it (one `fetch_add`) is noise.
 const MIN_STEAL_UNIT: usize = 64;
 
-/// Minimum inputs per thread for the static split of
-/// [`batch_map_chunked`] — spawning a thread for fewer is pure overhead.
-const MIN_STATIC_CHUNK: usize = 512;
-
 /// The worker count of the batch schedulers: the available
 /// parallelism, queried once per process. The query is not free (on
 /// Linux it reads the cgroup CPU quota), and the serial batch paths
@@ -505,24 +500,14 @@ pub(crate) fn worker_threads() -> usize {
     })
 }
 
-/// The static split of [`batch_map_chunked`]: effective worker count and
-/// chunk length for a batch of `len` on `threads` cores, with the thread
-/// count clamped so no chunk is near-empty.
-///
-/// (Regression shape: `len` barely above [`PARALLEL_BATCH_THRESHOLD`] on
-/// a high-core machine used to yield `threads` chunks of a few points
-/// each; now at most `len.div_ceil(MIN_STATIC_CHUNK)` workers spawn.)
-fn static_split(len: usize, threads: usize) -> (usize, usize) {
-    let workers = threads.min(len.div_ceil(MIN_STATIC_CHUNK)).max(1);
-    (workers, len.div_ceil(workers))
-}
-
 /// Applies `f` to every input, writing results into `out` — work-stolen
 /// across the available cores when the batch's measured work pays for
 /// the threads, serial otherwise.
 ///
-/// This is the shared batch driver of every [`QueryEngine`] backend
-/// (including the Theorem-3 locator in `sinr-pointloc`). The calling
+/// This is the one per-point batch driver of the workspace: every
+/// untiled [`QueryEngine::locate_batch`] (including the Theorem-3
+/// locator's in `sinr-pointloc`) and the untiled
+/// [`SinrEvaluator::sinr_batch`] run through it. The calling
 /// thread answers the first [`PROBE`] inputs and times them; if the
 /// rest, projected at that rate, costs at least [`MIN_PARALLEL_WORK`],
 /// it is cut into units of `rest / (4 · workers)` inputs (clamped to
@@ -530,9 +515,7 @@ fn static_split(len: usize, threads: usize) -> (usize, usize) {
 /// atomic counter, so skewed per-input costs (e.g. rasters where some
 /// rows hit a fast path and others fall back to an exact scan) still
 /// balance. Cheap batches never spawn, whatever their length; expensive
-/// ones use every core, whatever their length. The old
-/// one-chunk-per-core split survives as [`batch_map_chunked`] for
-/// comparison.
+/// ones use every core, whatever their length.
 ///
 /// Answers never depend on the decision: `f` is applied once per input,
 /// and only the thread it runs on changes.
@@ -587,53 +570,11 @@ where
     });
 }
 
-/// The serial loop of the batch drivers.
+/// The serial loop of [`batch_map`].
 fn serial_map<I, O, F: Fn(&I) -> O>(inputs: &[I], out: &mut [O], f: &F) {
     for (p, slot) in inputs.iter().zip(out.iter_mut()) {
         *slot = f(p);
     }
-}
-
-/// The PR-1 batch driver: one contiguous chunk per core, retained as the
-/// reference implementation the work-stealing [`batch_map`] is
-/// regression-tested against. Prefer [`batch_map`].
-///
-/// The chunk split clamps the effective thread count so every chunk has
-/// at least ~[`MIN_STATIC_CHUNK`]/2 inputs — the original split computed
-/// `len.div_ceil(threads)` unconditionally and spawned dozens of
-/// near-empty threads when `len` barely exceeded
-/// [`PARALLEL_BATCH_THRESHOLD`] on high-core machines.
-///
-/// # Panics
-///
-/// Panics if `inputs` and `out` have different lengths.
-pub fn batch_map_chunked<I, O, F>(inputs: &[I], out: &mut [O], f: F)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    assert_eq!(
-        inputs.len(),
-        out.len(),
-        "batch_map: {} inputs but {} output slots",
-        inputs.len(),
-        out.len()
-    );
-    if inputs.len() < PARALLEL_BATCH_THRESHOLD || worker_threads() <= 1 {
-        serial_map(inputs, out, &f);
-        return;
-    }
-    let (_, chunk) = static_split(inputs.len(), worker_threads());
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in inputs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(|| {
-                for (p, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = f(p);
-                }
-            });
-        }
-    });
 }
 
 /// The one unsafe corner of the scheduler: a `Send + Sync` handle to the
@@ -967,25 +908,7 @@ impl SinrEvaluator {
     /// vectorized kernels of [`crate::simd`].
     #[inline]
     pub(crate) fn decide(&self, scan: Result<Scan, usize>) -> Located {
-        match scan {
-            // At a station's own position reception holds by the `{sᵢ}`
-            // clause; for co-located stations the scalar ground truth
-            // resolves to the first index, and `Err` carries exactly that.
-            Err(j) => Located::Reception(StationId(j)),
-            Ok(scan) => {
-                let interference_plus_noise = (scan.total - scan.best_energy) + self.noise;
-                // Division-free reception test: E ≥ β·(I + N). A
-                // non-positive denominator means the interference
-                // underflowed to zero with no noise — SINR is +∞.
-                if interference_plus_noise <= 0.0
-                    || scan.best_energy >= self.beta * interference_plus_noise
-                {
-                    Located::Reception(StationId(scan.best))
-                } else {
-                    Located::Silent
-                }
-            }
-        }
+        self.decide_at(scan.map(|s| (s.best, s.best_energy, s.total)))
     }
 
     #[inline]
@@ -1011,16 +934,26 @@ impl SinrEvaluator {
     /// with station `j`.
     #[inline]
     pub(crate) fn decide_candidate(&self, cand: usize, scan: Result<(f64, f64), usize>) -> Located {
+        self.decide_at(scan.map(|(e_cand, total)| (cand, e_cand, total)))
+    }
+
+    /// The exact reception decision for the maximum-energy station
+    /// `(index, energy, total)`: the division-free test
+    /// [`receives_at_total`](crate::tile::receives_at_total) at the
+    /// scanned total. At a station's own position (`Err(j)`) reception
+    /// holds by the `{sᵢ}` clause; for co-located stations the scalar
+    /// ground truth resolves to the first index, and `Err` carries
+    /// exactly that.
+    #[inline]
+    fn decide_at(&self, scan: Result<(usize, f64, f64), usize>) -> Located {
         match scan {
             Err(j) => Located::Reception(StationId(j)),
-            Ok((e_cand, total)) => {
-                let interference_plus_noise = (total - e_cand) + self.noise;
-                if interference_plus_noise <= 0.0 || e_cand >= self.beta * interference_plus_noise {
-                    Located::Reception(StationId(cand))
-                } else {
-                    Located::Silent
-                }
+            Ok((best, e, total))
+                if crate::tile::receives_at_total(e, total, self.noise, self.beta) =>
+            {
+                Located::Reception(StationId(best))
             }
+            Ok(_) => Located::Silent,
         }
     }
 
@@ -1076,10 +1009,7 @@ impl SinrEvaluator {
     /// [`SinrEvaluator::assert_fresh`]).
     pub fn locate(&self, p: Point) -> Located {
         self.assert_fresh();
-        self.with_kernel(|ev, k| match k {
-            DynKernel::Square(k) => ev.locate_with(k, p),
-            DynKernel::General(k) => ev.locate_with(k, p),
-        })
+        self.locate_scalar(p)
     }
 
     /// The SINR of station `i` at `p`.
@@ -1090,9 +1020,15 @@ impl SinrEvaluator {
     pub fn sinr(&self, i: StationId, p: Point) -> f64 {
         self.assert_fresh();
         assert!(i.0 < self.len(), "station {i} out of range");
+        self.sinr_scalar(i.0, p)
+    }
+
+    /// The per-point SINR kernel without the freshness and range checks.
+    #[inline]
+    fn sinr_scalar(&self, i: usize, p: Point) -> f64 {
         self.with_kernel(|ev, k| match k {
-            DynKernel::Square(k) => ev.sinr_with(k, i.0, p),
-            DynKernel::General(k) => ev.sinr_with(k, i.0, p),
+            DynKernel::Square(k) => ev.sinr_with(k, i, p),
+            DynKernel::General(k) => ev.sinr_with(k, i, p),
         })
     }
 
@@ -1122,15 +1058,11 @@ impl SinrEvaluator {
             );
             return;
         }
-        self.with_kernel(|ev, k| match k {
-            DynKernel::Square(k) => batch_map(points, out, |p| ev.locate_with(k, *p)),
-            DynKernel::General(k) => batch_map(points, out, |p| ev.locate_with(k, *p)),
-        });
+        batch_map(points, out, |p| self.locate_scalar(*p));
     }
 
     /// Batched [`SinrEvaluator::sinr`] for one station across many
-    /// points — scheduled in Morton-tile order for spatial coherence.
-    /// Batches that clear [`TileConfig`](crate::tile::TileConfig)'s
+    /// points, through [`batch_map`]. Batches that clear [`TileConfig`](crate::tile::TileConfig)'s
     /// engagement thresholds run the certified tiled executor
     /// ([`crate::tile::sinr_batch_tiled`]): tiles whose value is
     /// provably `+0.0` everywhere are bulk-filled, every other point
@@ -1144,29 +1076,12 @@ impl SinrEvaluator {
         self.assert_fresh();
         assert!(i.0 < self.len(), "station {i} out of range");
         let cfg = crate::tile::TileConfig::default();
+        let exact = |p| self.sinr_scalar(i.0, p);
         if cfg.engages(points.len(), self.len()) {
-            self.with_kernel(|ev, k| match k {
-                DynKernel::Square(k) => {
-                    crate::tile::sinr_batch_tiled(ev, i, points, out, &cfg, |p| {
-                        ev.sinr_with(k, i.0, p)
-                    });
-                }
-                DynKernel::General(k) => {
-                    crate::tile::sinr_batch_tiled(ev, i, points, out, &cfg, |p| {
-                        ev.sinr_with(k, i.0, p)
-                    });
-                }
-            });
-            return;
+            crate::tile::sinr_batch_tiled(self, i, points, out, &cfg, exact);
+        } else {
+            batch_map(points, out, |p| exact(*p));
         }
-        self.with_kernel(|ev, k| match k {
-            DynKernel::Square(k) => {
-                crate::tile::batch_map_morton(points, out, &cfg, |p| ev.sinr_with(k, i.0, p))
-            }
-            DynKernel::General(k) => {
-                crate::tile::batch_map_morton(points, out, &cfg, |p| ev.sinr_with(k, i.0, p))
-            }
-        });
     }
 
     /// Interval-certified evaluation of the axis-aligned cell
@@ -1916,7 +1831,7 @@ impl DynamicTree {
         d: &Dispatch,
         p: Point,
     ) -> Option<Located> {
-        use crate::tile::{certify_decision, Certified};
+        use crate::tile::certify_decision;
         let (xs, ys, ws) = eval.soa();
         // The candidate's energy with the exact operation sequence of
         // the scan kernels (`RN(RN(attenuation)·ψ)`).
@@ -1941,7 +1856,7 @@ impl DynamicTree {
                 return None;
             }
             let (noise, beta) = (eval.noise(), eval.beta());
-            if let Certified::Answer(answer) = certify_decision(
+            if let Some(answer) = certify_decision(
                 StationId(d.cand),
                 e_cand,
                 exact,
@@ -2037,20 +1952,6 @@ impl VoronoiAssisted {
     /// The underlying evaluator.
     pub fn evaluator(&self) -> &SinrEvaluator {
         &self.eval
-    }
-
-    /// True when queries dispatch through the kd-tree — since the
-    /// power-diagram dispatch, **always** for this backend.
-    ///
-    /// Historically this flipped to `false` on non-uniform power (the
-    /// Observation-2.2 nearest-station shortcut is only legal under
-    /// uniform power, and the backend fell back to an exact scan).
-    /// The weighted nearest-dominator search removed the fallback: the
-    /// same tree answers `argmax Pᵢ · att(d²)` exactly for every power
-    /// assignment, so the method is kept only for callers that report
-    /// which dispatch a backend uses.
-    pub fn uses_proximity_dispatch(&self) -> bool {
-        true
     }
 
     /// The SIMD kernel the candidate interference sum resolved to.
@@ -2534,7 +2435,6 @@ mod tests {
         for net in nets() {
             let engine = VoronoiAssisted::new(&net);
             // The weighted tree serves every power assignment.
-            assert!(engine.uses_proximity_dispatch());
             for p in grid_points(6.0, 25) {
                 let expected = sinr::heard_at(&net, p);
                 let got = engine.locate(p).station();
@@ -2732,7 +2632,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_and_chunked_agree() {
+    fn work_stealing_matches_a_serial_map() {
         // Sizes straddling the threshold and the tile size, including a
         // non-multiple-of-tile length.
         for len in [
@@ -2743,11 +2643,14 @@ mod tests {
             25_000,
         ] {
             let inputs: Vec<u64> = (0..len as u64).collect();
+            let f = |x: &u64| x.wrapping_mul(0x9E37_79B9) ^ 7;
             let mut stolen = vec![0u64; len];
-            let mut chunked = vec![u64::MAX; len];
-            batch_map(&inputs, &mut stolen, |x| x.wrapping_mul(0x9E37_79B9) ^ 7);
-            batch_map_chunked(&inputs, &mut chunked, |x| x.wrapping_mul(0x9E37_79B9) ^ 7);
-            assert_eq!(stolen, chunked, "schedulers disagree at len {len}");
+            batch_map(&inputs, &mut stolen, f);
+            let serial: Vec<u64> = inputs.iter().map(f).collect();
+            assert_eq!(
+                stolen, serial,
+                "batch_map disagrees with a serial map at len {len}"
+            );
         }
     }
 
@@ -2770,26 +2673,5 @@ mod tests {
         }
         // The originals are only referenced by `probes` now.
         assert!(probes.iter().all(|p| std::sync::Arc::strong_count(p) == 1));
-    }
-
-    #[test]
-    fn static_split_clamps_thread_count() {
-        // Regression: a batch barely above the parallel threshold on a
-        // high-core machine must not shatter into near-empty chunks.
-        let (workers, chunk) = static_split(PARALLEL_BATCH_THRESHOLD + 1, 128);
-        assert_eq!(
-            workers,
-            (PARALLEL_BATCH_THRESHOLD + 1).div_ceil(MIN_STATIC_CHUNK)
-        );
-        assert!(chunk >= MIN_STATIC_CHUNK / 2, "chunk {chunk} too small");
-        assert!(workers * chunk > PARALLEL_BATCH_THRESHOLD);
-        // Plenty of work: every core gets a chunk.
-        let (workers, chunk) = static_split(1_000_000, 16);
-        assert_eq!(workers, 16);
-        assert_eq!(chunk, 62_500);
-        // Degenerate guards.
-        assert_eq!(static_split(1, 64), (1, 1));
-        let (w, c) = static_split(MIN_STATIC_CHUNK * 3, 2);
-        assert_eq!((w, c), (2, MIN_STATIC_CHUNK * 3 / 2));
     }
 }

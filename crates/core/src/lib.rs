@@ -61,8 +61,8 @@
 //! [`QueryEngine::reception_probability_batch`] /
 //! [`QueryEngine::sinr_quantiles_batch`] answer Monte-Carlo reception
 //! probability and SINR-distribution quantiles by folding the gains into
-//! the power column — the SoA layout, Morton tiling and SIMD kernels are
-//! built once and reused across every trial. Identity channels answer
+//! the power column — the SoA layout and Morton tiling are built once,
+//! and every trial runs the tiled executor's certified per-tile ladder. Identity channels answer
 //! bit-identically to `locate_batch`; see the [`channel`] module docs
 //! for the gain-folding math and the seeding contract.
 //!

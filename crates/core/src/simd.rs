@@ -221,8 +221,9 @@ impl<const L: usize> LaneState<L> {
 /// [`SinrEvaluator::decide`]. Returns `Err(j)` if a tail station
 /// coincides with `p`. Operates on raw SoA columns so the tiled batch
 /// executor ([`crate::tile`]) can run it over gathered candidate
-/// columns as well as whole-network ones.
-fn finish<K: PathLoss, const L: usize>(
+/// columns as well as whole-network ones. With `TRACK_BEST = false`
+/// only the total is merged (`best` stays 0, `best_energy` `−∞`).
+fn finish<K: PathLoss, const L: usize, const TRACK_BEST: bool>(
     xs: &[f64],
     ys: &[f64],
     powers: &[f64],
@@ -242,7 +243,7 @@ fn finish<K: PathLoss, const L: usize>(
             acc.add(lanes.sum[l]);
             acc.add(lanes.comp[l]);
             let (e, i) = (lanes.best_energy[l], lanes.best_index[l]);
-            if e > best_energy || (e == best_energy && i < best) {
+            if TRACK_BEST && (e > best_energy || (e == best_energy && i < best)) {
                 best_energy = e;
                 best = i;
             }
@@ -259,7 +260,7 @@ fn finish<K: PathLoss, const L: usize>(
         acc.add(e);
         // Tail indices all exceed the vectorized prefix's, so strict
         // comparison keeps the earlier station on ties.
-        if e > best_energy {
+        if TRACK_BEST && e > best_energy {
             best_energy = e;
             best = j;
         }
@@ -269,49 +270,6 @@ fn finish<K: PathLoss, const L: usize>(
         best,
         best_energy,
     })
-}
-
-/// Merges the per-lane *sums* (no argmax) and finishes the `n mod L`
-/// tail serially, then derives the candidate station's energy directly —
-/// the [`candidate_scan`] counterpart of [`finish`]. Returns
-/// `(e_candidate, total)`, or `Err(j)` if a tail station coincides with
-/// `p`.
-fn finish_sum<K: PathLoss, const L: usize>(
-    eval: &SinrEvaluator,
-    k: K,
-    cand: usize,
-    p: Point,
-    lanes: LaneState<L>,
-) -> Result<(f64, f64), usize> {
-    let (xs, ys, powers) = eval.soa();
-    let mut acc = KahanSum::new();
-    if lanes.processed > 0 {
-        for l in 0..L {
-            acc.add(lanes.sum[l]);
-            acc.add(lanes.comp[l]);
-        }
-    }
-    for j in lanes.processed..xs.len() {
-        let dx = xs[j] - p.x;
-        let dy = ys[j] - p.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 == 0.0 {
-            return Err(j);
-        }
-        acc.add(k.attenuation(d2) * powers[j]);
-    }
-    // Recompute the candidate's energy with the exact operation sequence
-    // of the scan kernels (`RN(RN(attenuation)·ψ)`), so the value is
-    // bit-identical to what a full scan would have recorded for it.
-    let dx = xs[cand] - p.x;
-    let dy = ys[cand] - p.y;
-    let d2 = dx * dx + dy * dy;
-    // (A NaN query point makes `d2` NaN, which is not a coincidence.)
-    debug_assert!(
-        d2 != 0.0,
-        "coincident candidate must have been caught above"
-    );
-    Ok((k.attenuation(d2) * powers[cand], acc.value()))
 }
 
 /// The portable blocked kernel: `L` independent scalar lanes advanced in
@@ -362,18 +320,6 @@ fn blocked_lanes<K: PathLoss, const L: usize, const TRACK_BEST: bool>(
     Ok(lanes)
 }
 
-/// The full portable scan: blocked lanes, then the shared merge.
-fn scan_blocked<K: PathLoss, const L: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    powers: &[f64],
-    k: K,
-    p: Point,
-) -> Result<Scan, usize> {
-    let lanes = blocked_lanes::<K, L, true>(xs, ys, powers, k, p)?;
-    finish(xs, ys, powers, k, p, lanes)
-}
-
 /// One full argmax scan of arbitrary SoA columns on the named kernel —
 /// the entry point shared by [`SimdScan`] (whole-network columns) and
 /// the tiled batch executor of [`crate::tile`] (gathered candidate
@@ -395,6 +341,20 @@ pub(crate) fn scan_slices(
     powers: &[f64],
     p: Point,
 ) -> Result<Scan, usize> {
+    scan_lanes::<true>(kernel, alpha, xs, ys, powers, p)
+}
+
+/// The kernel dispatch of [`scan_slices`] and [`candidate_scan`]: the
+/// lane pass on `kernel`, then the shared merge. With
+/// `TRACK_BEST = false` the argmax bookkeeping is compiled out.
+fn scan_lanes<const TRACK_BEST: bool>(
+    kernel: SimdKernel,
+    alpha: f64,
+    xs: &[f64],
+    ys: &[f64],
+    powers: &[f64],
+    p: Point,
+) -> Result<Scan, usize> {
     if alpha == 2.0 {
         let k = InverseSquare;
         #[cfg(target_arch = "x86_64")]
@@ -402,25 +362,28 @@ pub(crate) fn scan_slices(
             SimdKernel::Avx512 => {
                 // SAFETY: support was verified at kernel selection time
                 // (`detect`/`with_kernel`/`is_supported`).
-                let lanes = unsafe { x86::scan_avx512::<true>(xs, ys, powers, p) }?;
-                return finish(xs, ys, powers, k, p, lanes);
+                let lanes = unsafe { x86::scan_avx512::<TRACK_BEST>(xs, ys, powers, p) }?;
+                return finish::<_, _, TRACK_BEST>(xs, ys, powers, k, p, lanes);
             }
             SimdKernel::Avx2 => {
                 // SAFETY: as above.
-                let lanes = unsafe { x86::scan_avx2::<true>(xs, ys, powers, p) }?;
-                return finish(xs, ys, powers, k, p, lanes);
+                let lanes = unsafe { x86::scan_avx2::<TRACK_BEST>(xs, ys, powers, p) }?;
+                return finish::<_, _, TRACK_BEST>(xs, ys, powers, k, p, lanes);
             }
             SimdKernel::Sse2 => {
-                let lanes = x86::scan_sse2::<true>(xs, ys, powers, p)?;
-                return finish(xs, ys, powers, k, p, lanes);
+                let lanes = x86::scan_sse2::<TRACK_BEST>(xs, ys, powers, p)?;
+                return finish::<_, _, TRACK_BEST>(xs, ys, powers, k, p, lanes);
             }
             SimdKernel::Portable => {}
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = kernel;
-        scan_blocked::<_, PORTABLE_LANES>(xs, ys, powers, k, p)
+        let lanes = blocked_lanes::<_, PORTABLE_LANES, TRACK_BEST>(xs, ys, powers, k, p)?;
+        finish::<_, _, TRACK_BEST>(xs, ys, powers, k, p, lanes)
     } else {
-        scan_blocked::<_, PORTABLE_LANES>(xs, ys, powers, GeneralAlpha::new(alpha), p)
+        let k = GeneralAlpha::new(alpha);
+        let lanes = blocked_lanes::<_, PORTABLE_LANES, TRACK_BEST>(xs, ys, powers, k, p)?;
+        finish::<_, _, TRACK_BEST>(xs, ys, powers, k, p, lanes)
     }
 }
 
@@ -1495,35 +1458,25 @@ pub(crate) fn candidate_scan(
     p: Point,
 ) -> Result<(f64, f64), usize> {
     let (xs, ys, powers) = eval.soa();
-    if eval.alpha() == 2.0 {
-        let k = InverseSquare;
-        #[cfg(target_arch = "x86_64")]
-        match kernel {
-            SimdKernel::Avx512 => {
-                // SAFETY: the kernel was verified at engine build.
-                let lanes = unsafe { x86::scan_avx512::<false>(xs, ys, powers, p) }?;
-                return finish_sum(eval, k, cand, p, lanes);
-            }
-            SimdKernel::Avx2 => {
-                // SAFETY: the kernel was verified at engine build.
-                let lanes = unsafe { x86::scan_avx2::<false>(xs, ys, powers, p) }?;
-                return finish_sum(eval, k, cand, p, lanes);
-            }
-            SimdKernel::Sse2 => {
-                let lanes = x86::scan_sse2::<false>(xs, ys, powers, p)?;
-                return finish_sum(eval, k, cand, p, lanes);
-            }
-            SimdKernel::Portable => {}
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = kernel;
-        let lanes = blocked_lanes::<_, PORTABLE_LANES, false>(xs, ys, powers, k, p)?;
-        finish_sum(eval, k, cand, p, lanes)
+    let alpha = eval.alpha();
+    let total = scan_lanes::<false>(kernel, alpha, xs, ys, powers, p)?.total;
+    // Recompute the candidate's energy with the exact operation sequence
+    // of the scan kernels (`RN(RN(attenuation)·ψ)`), so the value is
+    // bit-identical to what a full scan would have recorded for it.
+    let dx = xs[cand] - p.x;
+    let dy = ys[cand] - p.y;
+    let d2 = dx * dx + dy * dy;
+    // (A NaN query point makes `d2` NaN, which is not a coincidence.)
+    debug_assert!(
+        d2 != 0.0,
+        "coincident candidate must have been caught above"
+    );
+    let att = if alpha == 2.0 {
+        InverseSquare.attenuation(d2)
     } else {
-        let k = GeneralAlpha::new(eval.alpha());
-        let lanes = blocked_lanes::<_, PORTABLE_LANES, false>(xs, ys, powers, k, p)?;
-        finish_sum(eval, k, cand, p, lanes)
-    }
+        GeneralAlpha::new(alpha).attenuation(d2)
+    };
+    Ok((att * powers[cand], total))
 }
 
 #[cfg(test)]

@@ -56,6 +56,16 @@
 //!    **fall back to the backend's own serial kernel** — never an
 //!    approximate answer.
 //!
+//! Steps 2–4 are one per-tile routine (`locate_tile`): the body of
+//! [`locate_batch_tiled`], and of every channel Monte-Carlo trial
+//! ([`crate::channel`]), which runs it per Morton tile on a trial-scaled
+//! evaluator. Every certified decision of the crate — these tile
+//! scans, the cell points of [`locate_in_cell`] and
+//! [`crate::engine::VoronoiAssisted`]'s far-field bracket — goes through
+//! one `TOTAL_MARGIN`-widened test (`certify_decision`), and the
+//! `Nearest` tile scans and the cell points share one scalar candidate
+//! loop.
+//!
 //! ## The correctness contract
 //!
 //! Answers are **bit-identical** to the serial per-point path of the
@@ -85,7 +95,9 @@
 //!
 //! Tiles are the work-stealing scheduler's unit, so skewed tiles
 //! rebalance across cores exactly like the skewed points of
-//! [`crate::engine::batch_map`]'s units do.
+//! [`crate::engine::batch_map`]'s units do; batches below
+//! [`TileConfig::min_points`] run the per-point path through
+//! [`crate::engine::batch_map`].
 
 use crate::bounds::{dist2_range_to_box, energy_envelope};
 use crate::engine::steal::OutputSlots;
@@ -98,7 +110,7 @@ use crate::station::StationId;
 use sinr_algebra::KahanSum;
 use sinr_geometry::Point;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Relative widening applied to each station's per-tile energy envelope
 /// so it certifiably brackets the kernels' rounded energies (worst case
@@ -131,8 +143,7 @@ pub struct TileConfig {
     /// Minimum station count for the pruned path to pay for itself.
     pub min_stations: usize,
     /// Minimum batch length; shorter batches take the engine's
-    /// per-point path ([`crate::engine::batch_map`]), or the serial loop
-    /// of [`batch_map_morton`].
+    /// per-point path ([`crate::engine::batch_map`]).
     pub min_points: usize,
 }
 
@@ -214,6 +225,18 @@ pub struct TileStats {
 }
 
 impl TileStats {
+    /// Adds every counter of `other` into `self`.
+    fn add(&mut self, other: &TileStats) {
+        self.points += other.points;
+        self.tiles += other.tiles;
+        self.pruned_tiles += other.pruned_tiles;
+        self.candidate_stations += other.candidate_stations;
+        self.certified_points += other.certified_points;
+        self.scanned_candidates += other.scanned_candidates;
+        self.escalated_points += other.escalated_points;
+        self.fallback_points += other.fallback_points;
+    }
+
     /// Mean tile-level candidate-set size over the pruned tiles (`None`
     /// when no tile took the pruned path).
     pub fn mean_candidates(&self) -> Option<f64> {
@@ -337,12 +360,14 @@ fn grid_scale(min: f64, max: f64) -> f64 {
 /// propagates to the caller after all workers stop.
 ///
 /// This is the **one** work-stealing scheduler of the workspace:
-/// [`crate::engine::batch_map`]'s parallel branch, both tiled executors
-/// here, the channel Monte-Carlo trials, and the quadtree refinement of
-/// `sinr-diagram` (one task per independent subtree) run through it, so
-/// the worker-count clamp (the cached available parallelism) and the
-/// `fetch_add` claim protocol (which the `OutputSlots` soundness
-/// argument leans on) exist in exactly one place.
+/// [`crate::engine::batch_map`]'s parallel branch (every untiled batch),
+/// both tiled executors here ([`locate_batch_tiled`],
+/// [`sinr_batch_tiled`]), the channel Monte-Carlo trials, and the
+/// quadtree refinement of `sinr-diagram` (one task per independent
+/// subtree) run through it, so the worker-count clamp (the cached
+/// available parallelism) and the `fetch_add` claim protocol (which the
+/// `OutputSlots` soundness argument leans on) exist in exactly one
+/// place.
 pub fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: usize, f: F) {
     let workers = crate::engine::worker_threads().min(num_tiles);
     let next = AtomicUsize::new(0);
@@ -368,50 +393,6 @@ pub fn steal_tiles<S: Default, F: Fn(usize, &mut S) + Sync>(num_tiles: usize, f:
     });
 }
 
-/// Morton-permuted tile scheduling for an arbitrary per-point function:
-/// same answers as a serial loop of `f` (it *is* `f`, per point — only
-/// the visit order and the thread placement change), with spatially
-/// coherent tiles as the stealable work units. This is the
-/// locality-only flavour of the executor — the Theorem-3 `PointLocator`
-/// routes `locate_batch` through it so queries dispatching to the same
-/// zone grid are processed together, and `sinr_batch` uses it for its
-/// batch path.
-///
-/// # Panics
-///
-/// Panics if `points` and `out` have different lengths.
-pub fn batch_map_morton<O, F>(points: &[Point], out: &mut [O], cfg: &TileConfig, f: F)
-where
-    O: Send,
-    F: Fn(Point) -> O + Sync,
-{
-    assert_eq!(
-        points.len(),
-        out.len(),
-        "batch_map: {} points but {} output slots",
-        points.len(),
-        out.len()
-    );
-    let tile = cfg.tile_points.max(1);
-    if points.len() < cfg.min_points {
-        for (p, slot) in points.iter().zip(out.iter_mut()) {
-            *slot = f(*p);
-        }
-        return;
-    }
-    let order = morton_order(points);
-    let slots = OutputSlots::new(out);
-    let num_tiles = order.len().div_ceil(tile);
-    steal_tiles::<(), _>(num_tiles, |t, _scratch| {
-        let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        for &i in idxs {
-            // The Morton order is a permutation, so tiles own disjoint
-            // original indices and every slot is written exactly once.
-            slots.write(i as usize, f(points[i as usize]));
-        }
-    });
-}
-
 /// Query points per sub-tile: consecutive Morton-ordered points of a
 /// pruned tile whose box the tile's candidate list is re-pruned over
 /// (see the [module docs](self)). Smaller sub-tiles pay the re-prune
@@ -424,7 +405,7 @@ const SUB_TILE: usize = 32;
 /// buffers and the gathered candidate columns of the current tile and
 /// sub-tile, reused across tiles.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     prune: PruneScratch,
     tile: Columns,
     sub: Columns,
@@ -452,9 +433,12 @@ fn points_box(points: &[Point], idxs: &[u32]) -> Option<QueryBox> {
     Some(b)
 }
 
-/// The reception test of [`SinrEvaluator::decide`] evaluated at an
-/// assumed total energy — the exact expression shape of the serial
-/// kernels, which is (weakly) anti-monotone in `total` under rounding,
+/// The one point-level reception test, division-free: `E ≥ β·(I + N)`
+/// with `I = total − E`; a non-positive `I + N` (interference underflowed
+/// with no noise) means SINR `+∞`. The serial kernels decide with it at
+/// their scanned total ([`SinrEvaluator::decide`]), the certified
+/// decisions at an assumed total. It is (weakly) anti-monotone in
+/// `total` under rounding,
 /// making one-sided certification sound: reception at the interval's
 /// top certifies reception at the kernel's true total, non-reception at
 /// the bottom certifies silence.
@@ -464,22 +448,13 @@ pub(crate) fn receives_at_total(best_e: f64, total: f64, noise: f64, beta: f64) 
     interference_plus_noise <= 0.0 || best_e >= beta * interference_plus_noise
 }
 
-/// The per-point outcome of a certified decision (a tile scan here, or
-/// [`crate::engine::VoronoiAssisted`]'s far-field bracket).
-pub(crate) enum Certified {
-    Answer(Located),
-    /// The decision sits within the residual interval of the `β`
-    /// boundary — re-run the backend's serial kernel.
-    Fallback,
-}
-
 /// The tile-pruned batch executor behind
 /// [`QueryEngine::locate_batch`](crate::engine::QueryEngine::locate_batch)
-/// for the scan backends: Morton tiles, per-tile certified candidate
-/// sets re-pruned per 32-point sub-tile, SIMD candidate scans, and
-/// certified decisions down the sub-tile → tile → serial-kernel ladder
-/// (see the [module docs](self) for the pipeline and the bit-identity
-/// contract).
+/// for the scan backends: Morton tiles, each run by [`locate_tile`]
+/// (per-tile certified candidate sets re-pruned per 32-point sub-tile,
+/// SIMD candidate scans, and certified decisions down the sub-tile →
+/// tile → serial-kernel ladder; see the [module docs](self) for the
+/// pipeline and the bit-identity contract).
 ///
 /// `fallback` must be the *serial per-point kernel of the calling
 /// backend* — it is consulted verbatim for non-finite tiles, unpruned
@@ -522,42 +497,63 @@ where
     let tile = cfg.tile_points.max(1);
     let order = morton_order(points);
     let slots = OutputSlots::new(out);
-    let num_tiles = order.len().div_ceil(tile);
+    let stats = Mutex::new(TileStats::default());
+    steal_tiles::<Scratch, _>(order.len().div_ceil(tile), |t, scratch| {
+        let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
+        let mut tile_stats = TileStats::default();
+        locate_tile(
+            eval,
+            kernel,
+            select,
+            points,
+            idxs,
+            scratch,
+            &mut tile_stats,
+            &fallback,
+            |i, answer| slots.write(i, answer),
+        );
+        stats.lock().expect("no tile panicked").add(&tile_stats);
+    });
+    stats.into_inner().expect("no tile panicked")
+}
+
+/// One Morton tile `points[idxs]` down the ladder sub-tile → tile →
+/// serial kernel (see the [module docs](self)): every point's answer is
+/// passed to `emit(index, answer)` exactly once, and the tile's counters
+/// are added into `stats`. The per-tile body of [`locate_batch_tiled`]
+/// and of the channel Monte-Carlo trials ([`crate::channel`]), which run
+/// it on a trial-scaled evaluator.
+///
+/// `fallback` must be the serial per-point kernel of the backend on
+/// `eval`; it answers non-finite tiles, tiles whose pruning keeps nearly
+/// every station, and points no certified rung can decide.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn locate_tile(
+    eval: &SinrEvaluator,
+    kernel: SimdKernel,
+    select: Select,
+    points: &[Point],
+    idxs: &[u32],
+    scratch: &mut Scratch,
+    stats: &mut TileStats,
+    fallback: &impl Fn(Point) -> Located,
+    mut emit: impl FnMut(usize, Located),
+) {
     let (xs, ys, ws) = eval.soa();
     let n = xs.len();
     let alpha = eval.alpha();
     let noise = eval.noise();
     let beta = eval.beta();
-    let pruned_tiles = AtomicU64::new(0);
-    let candidate_stations = AtomicU64::new(0);
-    let certified_points = AtomicU64::new(0);
-    let scanned_candidates = AtomicU64::new(0);
-    let escalated_points = AtomicU64::new(0);
-    let fallback_points = AtomicU64::new(0);
-    // One certified point against gathered candidate columns and the
-    // residual interval of every station not among them.
-    let certify = |cols: &Columns, p: Point, resid_lo: f64, resid_hi: f64| match select {
-        Select::MaxEnergy => {
-            certify_max_energy(kernel, alpha, cols, p, resid_lo, resid_hi, noise, beta)
-        }
-        Select::Nearest => certify_nearest(alpha, cols, p, resid_lo, resid_hi, noise, beta),
-    };
-    steal_tiles::<Scratch, _>(num_tiles, |t, scratch| {
-        let idxs = &order[t * tile..((t + 1) * tile).min(order.len())];
-        let serial = || {
-            for &i in idxs {
-                slots.write(i as usize, fallback(points[i as usize]));
-            }
-        };
-        // Non-finite tiles run the serial kernel wholesale.
-        let Some(tile_box) = points_box(points, idxs) else {
-            return serial();
-        };
-        // Tile level: certified envelopes of every station over the
-        // tile box; the candidate set C keeps the stations whose top
-        // reaches the best bottom M, the rest become the residual
-        // interference interval [L_R, U_R].
-        let (resid_lo, resid_hi) = simd::prune_to_box(
+    stats.points += idxs.len() as u64;
+    stats.tiles += 1;
+    // Tile level: certified envelopes of every station over the tile
+    // box; the candidate set C keeps the stations whose top reaches the
+    // best bottom M, the rest become the residual interference interval
+    // [L_R, U_R]. Non-finite tiles, and tiles whose pruning keeps
+    // ~everything (it cannot pay for the gather and the certification),
+    // run the serial kernel wholesale.
+    let resid = points_box(points, idxs).map(|tile_box| {
+        simd::prune_to_box(
             kernel,
             alpha,
             tile_box,
@@ -567,80 +563,99 @@ where
             None,
             &mut scratch.prune,
             &mut scratch.tile,
-        );
-        let n_c = scratch.tile.len();
-        // Pruning that keeps ~everything cannot pay for the gather and
-        // the certification: run the serial kernel directly.
-        if n_c * 8 >= n * 7 {
-            return serial();
+        )
+    });
+    let Some((resid_lo, resid_hi)) = resid.filter(|_| scratch.tile.len() * 8 < n * 7) else {
+        for &i in idxs {
+            emit(i as usize, fallback(points[i as usize]));
         }
-        pruned_tiles.fetch_add(1, Ordering::Relaxed);
-        candidate_stations.fetch_add(n_c as u64, Ordering::Relaxed);
-        certified_points.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-        let mut scanned = 0u64;
-        let mut escalated = 0u64;
-        let mut fallbacks = 0u64;
-        for sub in idxs.chunks(SUB_TILE) {
-            // Sub-tile level: re-prune only C over the sub-tile box;
-            // the newly pruned stations' envelopes join the residual.
-            let sub_box = points_box(points, sub).expect("a finite tile has finite sub-tiles");
-            let (new_lo, new_hi) = simd::prune_to_box(
-                kernel,
-                alpha,
-                sub_box,
-                &scratch.tile.xs,
-                &scratch.tile.ys,
-                &scratch.tile.ws,
-                Some(&scratch.tile.idx),
-                &mut scratch.prune,
-                &mut scratch.sub,
-            );
-            let (sub_lo, sub_hi) = (resid_lo + new_lo, resid_hi + new_hi);
-            let n_s = scratch.sub.len();
-            for &i in sub {
-                let p = points[i as usize];
-                scanned += n_s as u64;
-                let mut outcome = certify(&scratch.sub, p, sub_lo, sub_hi);
-                // Retry with the tile-level decision. When the re-prune
-                // dropped nothing that decision is the one just made
-                // (same columns, residual + 0.0), so it is skipped.
-                if matches!(outcome, Certified::Fallback) && n_s < n_c {
-                    escalated += 1;
-                    scanned += n_c as u64;
-                    outcome = certify(&scratch.tile, p, resid_lo, resid_hi);
-                }
-                let answer = match outcome {
-                    Certified::Answer(a) => a,
-                    Certified::Fallback => {
-                        fallbacks += 1;
-                        fallback(p)
-                    }
-                };
-                slots.write(i as usize, answer);
+        return;
+    };
+    let n_c = scratch.tile.len();
+    // One certified point against gathered candidate columns and the
+    // residual interval of every station not among them.
+    let certify = |cols: &Columns, p: Point, resid_lo: f64, resid_hi: f64| match select {
+        // SIMD argmax scan of the columns: per-station energies are
+        // bit-identical to the full scan's, so the argmax index is
+        // exact. Coincident stations always survive pruning (their
+        // envelope top is ∞), so the first coincident candidate is the
+        // first coincident station of the whole scan.
+        Select::MaxEnergy => {
+            match simd::scan_slices(kernel, alpha, &cols.xs, &cols.ys, &cols.ws, p) {
+                Err(c) => Some(Located::Reception(StationId(cols.idx[c] as usize))),
+                Ok(scan) => certify_decision(
+                    StationId(cols.idx[scan.best] as usize),
+                    scan.best_energy,
+                    scan.total,
+                    resid_lo,
+                    resid_hi,
+                    noise,
+                    beta,
+                ),
             }
         }
-        scanned_candidates.fetch_add(scanned, Ordering::Relaxed);
-        if escalated > 0 {
-            escalated_points.fetch_add(escalated, Ordering::Relaxed);
+        Select::Nearest => {
+            let at = |c: usize| (cols.idx[c] as usize, cols.xs[c], cols.ys[c], cols.ws[c]);
+            certify_candidates(
+                alpha,
+                Select::Nearest,
+                cols.len(),
+                at,
+                p,
+                resid_lo,
+                resid_hi,
+                noise,
+                beta,
+            )
         }
-        if fallbacks > 0 {
-            fallback_points.fetch_add(fallbacks, Ordering::Relaxed);
+    };
+    stats.pruned_tiles += 1;
+    stats.candidate_stations += n_c as u64;
+    stats.certified_points += idxs.len() as u64;
+    for sub in idxs.chunks(SUB_TILE) {
+        // Sub-tile level: re-prune only C over the sub-tile box; the
+        // newly pruned stations' envelopes join the residual.
+        let sub_box = points_box(points, sub).expect("a finite tile has finite sub-tiles");
+        let (new_lo, new_hi) = simd::prune_to_box(
+            kernel,
+            alpha,
+            sub_box,
+            &scratch.tile.xs,
+            &scratch.tile.ys,
+            &scratch.tile.ws,
+            Some(&scratch.tile.idx),
+            &mut scratch.prune,
+            &mut scratch.sub,
+        );
+        let (sub_lo, sub_hi) = (resid_lo + new_lo, resid_hi + new_hi);
+        let n_s = scratch.sub.len();
+        for &i in sub {
+            let p = points[i as usize];
+            stats.scanned_candidates += n_s as u64;
+            let mut outcome = certify(&scratch.sub, p, sub_lo, sub_hi);
+            // Retry with the tile-level decision. When the re-prune
+            // dropped nothing that decision is the one just made (same
+            // columns, residual + 0.0), so it is skipped.
+            if outcome.is_none() && n_s < n_c {
+                stats.escalated_points += 1;
+                stats.scanned_candidates += n_c as u64;
+                outcome = certify(&scratch.tile, p, resid_lo, resid_hi);
+            }
+            let answer = outcome.unwrap_or_else(|| {
+                stats.fallback_points += 1;
+                fallback(p)
+            });
+            emit(i as usize, answer);
         }
-    });
-    TileStats {
-        points: points.len() as u64,
-        tiles: num_tiles as u64,
-        pruned_tiles: pruned_tiles.into_inner(),
-        candidate_stations: candidate_stations.into_inner(),
-        certified_points: certified_points.into_inner(),
-        scanned_candidates: scanned_candidates.into_inner(),
-        escalated_points: escalated_points.into_inner(),
-        fallback_points: fallback_points.into_inner(),
     }
 }
 
 /// Certified decision from the interval `[S_C + L_R, S_C + U_R]`
-/// (widened by [`TOTAL_MARGIN`]) around every kernel's rounded total.
+/// (widened by [`TOTAL_MARGIN`]) around every kernel's rounded total —
+/// the one certified decision of the crate (tile scans, cell points and
+/// [`crate::engine::VoronoiAssisted`]'s far-field bracket). `None` when
+/// the decision sits within the interval of the `β` boundary: the
+/// caller re-runs the backend's serial kernel.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn certify_decision(
@@ -651,100 +666,93 @@ pub(crate) fn certify_decision(
     resid_hi: f64,
     noise: f64,
     beta: f64,
-) -> Certified {
+) -> Option<Located> {
     let hi = (s_c + resid_hi) * (1.0 + TOTAL_MARGIN);
     let lo = (s_c + resid_lo) * (1.0 - TOTAL_MARGIN);
     if receives_at_total(best_e, hi, noise, beta) {
-        Certified::Answer(Located::Reception(best))
+        Some(Located::Reception(best))
     } else if !receives_at_total(best_e, lo, noise, beta) {
-        Certified::Answer(Located::Silent)
+        Some(Located::Silent)
     } else {
-        Certified::Fallback
+        None
     }
 }
 
-/// One certified point in `MaxEnergy` mode: SIMD argmax scan of the
-/// candidate columns (per-station energies bit-identical to the full
-/// scan, so the argmax index is exact), then the certified decision.
+/// The scalar candidate loop of the certified decisions — the tiled
+/// executor's `Nearest` mode and [`locate_in_cell`]: the exact energy
+/// at `p` of every candidate `at(c) = (station, x, y, power)`,
+/// `c ∈ 0..len` (ascending by station), the candidate `select` picks,
+/// and the certified decision against the residual interval
+/// `[resid_lo, resid_hi]` of every other station.
+///
+/// `MaxEnergy` keeps the first index on exact energy ties (the scan
+/// kernels' argmax rule), `Nearest` the first index on exact
+/// squared-distance ties (the kd-tree's documented rule); either way
+/// the loop tracks one score and the candidate's position, and the
+/// winner's energy is recomputed once. A point at a candidate's
+/// position is received from the first such candidate — the `{sᵢ}`
+/// clause — which is the first such station of the network whenever
+/// every co-located station is a candidate (their envelope top is `∞`,
+/// so pruning and freezing keep them).
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn certify_max_energy(
-    kernel: SimdKernel,
+fn certify_candidates(
     alpha: f64,
-    cols: &Columns,
+    select: Select,
+    len: usize,
+    at: impl Fn(usize) -> (usize, f64, f64, f64),
     p: Point,
     resid_lo: f64,
     resid_hi: f64,
     noise: f64,
     beta: f64,
-) -> Certified {
-    match simd::scan_slices(kernel, alpha, &cols.xs, &cols.ys, &cols.ws, p) {
-        // Coincident stations always survive pruning (their envelope
-        // top is ∞), so the first coincident candidate is the first
-        // coincident station of the whole scan.
-        Err(c) => Certified::Answer(Located::Reception(StationId(cols.idx[c] as usize))),
-        Ok(scan) => certify_decision(
-            StationId(cols.idx[scan.best] as usize),
-            scan.best_energy,
-            scan.total,
-            resid_lo,
-            resid_hi,
-            noise,
-            beta,
-        ),
-    }
-}
-
-/// One certified point in `Nearest` mode: exact nearest candidate by
-/// squared distance (strictly-less, first index on exact ties — the
-/// kd-tree's documented rule; the nearest station always survives
-/// pruning since for uniform power it is also the strongest), then the
-/// certified decision with its energy.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn certify_nearest(
-    alpha: f64,
-    cols: &Columns,
-    p: Point,
-    resid_lo: f64,
-    resid_hi: f64,
-    noise: f64,
-    beta: f64,
-) -> Certified {
-    let mut best = 0usize;
-    let mut best_d2 = f64::INFINITY;
-    let mut sum = 0.0f64;
+) -> Option<Located> {
     let k_general = GeneralAlpha::new(alpha);
-    for c in 0..cols.len() {
-        let dx = cols.xs[c] - p.x;
-        let dy = cols.ys[c] - p.y;
+    // The exact per-station operation sequence of every scan kernel:
+    // `RN(RN(attenuation)·ψ)`.
+    let energy = |x: f64, y: f64, w: f64| {
+        let dx = x - p.x;
+        let dy = y - p.y;
         let d2 = dx * dx + dy * dy;
-        if d2 < best_d2 {
-            best_d2 = d2;
+        let att = if alpha == 2.0 {
+            InverseSquare.attenuation(d2)
+        } else {
+            k_general.attenuation(d2)
+        };
+        (d2, att * w)
+    };
+    let mut sum = 0.0f64;
+    let mut best = 0usize;
+    let mut best_score = f64::NEG_INFINITY;
+    for c in 0..len {
+        let (j, x, y, w) = at(c);
+        let (d2, e) = energy(x, y, w);
+        // A co-located candidate is the strict nearest, so `Nearest`
+        // finds the first one after the loop (a branch here costs the
+        // tile scans ~10%). Under `MaxEnergy` an energy that overflowed
+        // at a subnormal distance could outrank it, so it returns here.
+        if select == Select::MaxEnergy && d2 == 0.0 {
+            return Some(Located::Reception(StationId(j)));
+        }
+        // Plain positive sum — it only feeds the certified bounds,
+        // whose `TOTAL_MARGIN` dwarfs the uncompensated rounding.
+        sum += e;
+        // Strictly greater: the first candidate wins ties.
+        let score = match select {
+            Select::MaxEnergy => e,
+            Select::Nearest => -d2,
+        };
+        if score > best_score {
+            best_score = score;
             best = c;
         }
-        // Plain positive sum: only feeds the certified bounds, whose
-        // TOTAL_MARGIN dwarfs the uncompensated rounding.
-        sum += if alpha == 2.0 {
-            InverseSquare.attenuation(d2) * cols.ws[c]
-        } else {
-            k_general.attenuation(d2) * cols.ws[c]
-        };
     }
-    let station = StationId(cols.idx[best] as usize);
-    if best_d2 == 0.0 {
-        // At a station's position: reception by the `{sᵢ}` clause, tie
-        // toward the smallest index — the serial tree path's rule.
-        return Certified::Answer(Located::Reception(station));
+    let (j, x, y, w) = at(best);
+    let (d2, best_e) = energy(x, y, w);
+    if d2 == 0.0 {
+        return Some(Located::Reception(StationId(j)));
     }
-    // The candidate's energy, computed with the exact operation
-    // sequence of every scan kernel (`RN(RN(attenuation)·ψ)`).
-    let best_e = if alpha == 2.0 {
-        InverseSquare.attenuation(best_d2) * cols.ws[best]
-    } else {
-        k_general.attenuation(best_d2) * cols.ws[best]
-    };
-    certify_decision(station, best_e, sum, resid_lo, resid_hi, noise, beta)
+    certify_decision(StationId(j), best_e, sum, resid_lo, resid_hi, noise, beta)
 }
 
 // ---------------------------------------------------------------------
@@ -1008,8 +1016,8 @@ fn cell_silent(hi: f64, others_lo: f64, noise: f64, beta: f64) -> bool {
 /// [`QueryEngine::sinr_bounds_cell`](crate::engine::QueryEngine::sinr_bounds_cell):
 /// per-station energy envelopes over the cell box (the same
 /// [`energy_envelope`] primitive as the batch pruning and the
-/// stochastic-channel tile cache — unit-power attenuation times power,
-/// widened by [`BOUND_MARGIN`] — computed by the batch pruning's vector
+/// stochastic-channel trials — attenuation times power, widened by
+/// [`BOUND_MARGIN`] — computed by the batch pruning's vector
 /// envelope pass on `kernel`, bit-identical on every kernel),
 /// leave-one-out interference brackets, and the certified
 /// classification.
@@ -1316,72 +1324,29 @@ fn locate_in_cert(
         return Some(Located::Silent);
     }
     let (xs, ys, ws) = eval.soa();
-    let alpha = eval.alpha();
-    let k_general = GeneralAlpha::new(alpha);
-    let mut sum = 0.0f64;
-    let mut best = usize::MAX;
-    let mut best_e = f64::NEG_INFINITY;
-    let mut best_d2 = f64::INFINITY;
-    for &(j, _, _) in &cert.cands {
-        let j = j as usize;
-        let dx = xs[j] - p.x;
-        let dy = ys[j] - p.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 == 0.0 {
-            // Co-located with a station: reception by the `{sᵢ}`
-            // clause, first index — and this IS the full scan's first
-            // co-location: a frozen station is never co-located with a
-            // cell point (inside an ancestor cell its envelope top is
-            // `∞` there, which `cell_silent` rejects), and candidates
-            // ascend by index.
-            return Some(Located::Reception(StationId(j)));
-        }
-        // The exact per-station operation sequence of every scan
-        // kernel: `RN(RN(attenuation)·ψ)`. Plain positive sum — it only
-        // feeds the certified bounds, whose `TOTAL_MARGIN` dwarfs the
-        // uncompensated rounding (as in the tiled executor).
-        let e = if alpha == 2.0 {
-            InverseSquare.attenuation(d2) * ws[j]
-        } else {
-            k_general.attenuation(d2) * ws[j]
-        };
-        sum += e;
-        match select {
-            Select::MaxEnergy => {
-                // Strictly-greater keeps the first index on exact
-                // energy ties — the scan kernels' argmax rule.
-                if e > best_e {
-                    best_e = e;
-                    best = j;
-                }
-            }
-            Select::Nearest => {
-                // Strictly-less, first index on exact distance ties —
-                // the kd-tree's documented rule.
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best_e = e;
-                    best = j;
-                }
-            }
-        }
-    }
-    match certify_decision(
-        StationId(best),
-        best_e,
-        sum,
+    // Frozen stations are never co-located with a cell point (inside
+    // an ancestor cell their envelope top is `∞` there, which
+    // `cell_silent` rejects), so the first co-located candidate is the
+    // full scan's first co-location.
+    let at = |c: usize| {
+        let j = cert.cands[c].0 as usize;
+        (j, xs[j], ys[j], ws[j])
+    };
+    certify_candidates(
+        eval.alpha(),
+        select,
+        cert.cands.len(),
+        at,
+        p,
         cert.frozen_lo,
         cert.frozen_hi,
         cert.noise,
         cert.beta,
-    ) {
-        Certified::Answer(a) => Some(a),
-        Certified::Fallback => None,
-    }
+    )
 }
 
-/// The tile-pruned `sinr_batch` executor: Morton-ordered tiles (the
-/// locality the per-point path already had) plus a certified
+/// The tile-pruned `sinr_batch` executor: Morton-ordered tiles plus a
+/// certified
 /// **exact-zero bulk fill** — the one value-level prune that preserves
 /// bit-identity. Unlike reception *decisions*, SINR *values* depend on
 /// the serial kernel's exact summation, so a tile can only be skipped
@@ -1508,11 +1473,8 @@ where
         points: points.len() as u64,
         tiles: num_tiles as u64,
         pruned_tiles: pruned_tiles.into_inner(),
-        candidate_stations: 0,
-        certified_points: 0,
-        scanned_candidates: 0,
-        escalated_points: 0,
         fallback_points: fallback_points.into_inner(),
+        ..TileStats::default()
     }
 }
 

@@ -19,8 +19,8 @@
 //! * cheap closures never leave the calling thread, and expensive ones
 //!   reach more than one thread (when there is more than one core) with
 //!   results identical to a serial map;
-//! * the work-stealing `batch_map` and the legacy clamped
-//!   `batch_map_chunked` compute identical results.
+//! * the work-stealing `batch_map` computes exactly what a plain serial
+//!   map computes.
 //!
 //! Exactness holds because batch and serial answers run the *same*
 //! kernel per point — parallel scheduling must never change which code
@@ -29,7 +29,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sinr_core::engine::{
-    batch_map, batch_map_chunked, ExactScan, Located, QueryEngine, VoronoiAssisted, BATCH_TILE,
+    batch_map, ExactScan, Located, QueryEngine, VoronoiAssisted, BATCH_TILE,
     PARALLEL_BATCH_THRESHOLD,
 };
 use sinr_core::simd::{SimdKernel, SimdScan};
@@ -161,17 +161,17 @@ proptest! {
         }
     }
 
-    /// The work-stealing scheduler and the legacy clamped static split
-    /// produce identical outputs at every gate length.
+    /// The work-stealing scheduler produces a plain serial map's
+    /// outputs at every gate length.
     #[test]
     fn schedulers_agree_at_threshold_boundaries(offset in 0u64..1024) {
         for len in GATE_LENS {
             let inputs: Vec<u64> = (offset..offset + len as u64).collect();
+            let f = |x: &u64| x.rotate_left(7) ^ 0xA5A5;
             let mut stolen = vec![0u64; len];
-            let mut chunked = vec![u64::MAX; len];
-            batch_map(&inputs, &mut stolen, |x| x.rotate_left(7) ^ 0xA5A5);
-            batch_map_chunked(&inputs, &mut chunked, |x| x.rotate_left(7) ^ 0xA5A5);
-            prop_assert_eq!(&stolen, &chunked, "schedulers disagree at len {}", len);
+            batch_map(&inputs, &mut stolen, f);
+            let serial: Vec<u64> = inputs.iter().map(f).collect();
+            prop_assert_eq!(&stolen, &serial, "batch_map disagrees with a serial map at len {}", len);
         }
     }
 }

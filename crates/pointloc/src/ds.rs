@@ -10,8 +10,7 @@
 
 use crate::brp::BrpError;
 use crate::qds::{CellClass, Qds, QdsConfig};
-use sinr_core::engine::{LocateError, QueryEngine, SinrEvaluator, SyncError};
-use sinr_core::tile::{batch_map_morton, TileConfig};
+use sinr_core::engine::{batch_map, LocateError, QueryEngine, SinrEvaluator, SyncError};
 use sinr_core::{DeltaOp, Network, NetworkDelta, StationId};
 use sinr_geometry::Point;
 use sinr_voronoi::KdTree;
@@ -234,23 +233,14 @@ impl QueryEngine for PointLocator {
     }
 
     fn locate_batch(&self, points: &[Point], out: &mut [Located]) {
-        // Rides the engine's Morton-tiled batch driver: large batches
-        // are scheduled in spatially coherent tiles (the PR-5 tile
-        // grouping), so queries dispatching to the same station hit the
-        // same zone grid back-to-back — the per-zone `Qds` structures
-        // and the kd-tree's upper levels stay cache-hot, and a tile
-        // whose zone needs a lazy rebuild pays it once for the whole
-        // neighbourhood. Work-stealing still matters more here than for
-        // the uniform-cost scans: QDS queries are `O(log n)` when the
-        // grid answers and `O(n)` when a query misses every per-zone
-        // structure, so tiles with slow points rebalance across
-        // threads. Per-point answers are exactly `locate`'s (only the
-        // visit order changes); concurrent first-touch rebuilds of the
-        // same invalidated zone are serialized by the per-station
-        // `OnceLock`.
-        batch_map_morton(points, out, &TileConfig::default(), |p| {
-            PointLocator::locate(self, p)
-        });
+        // The engine's work-stealing batch driver: QDS queries are
+        // `O(log n)` when the grid answers and `O(n)` when a query
+        // misses every per-zone structure, so skewed batches rebalance
+        // across threads once their measured work pays for them.
+        // Per-point answers are exactly `locate`'s (only the thread
+        // changes); concurrent first-touch rebuilds of the same
+        // invalidated zone are serialized by the per-station `OnceLock`.
+        batch_map(points, out, |p| PointLocator::locate(self, *p));
     }
 
     fn sinr_batch(&self, i: StationId, points: &[Point], out: &mut [f64]) {

